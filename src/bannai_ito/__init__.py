@@ -23,6 +23,7 @@ Everything is computed over the rationals; no floating point anywhere.
 from .bimodule import (
     ALL_TWISTS,
     BIModule,
+    CertificateError,
     EvenParams,
     NotAModule,
     OddParams,
@@ -36,12 +37,12 @@ from .bimodule import (
     example_odd,
     minimal_polynomials,
     odd_module,
-    sequences,
     twist,
 )
 from .classify import (
     ClassCoordinates,
     IdentificationFailed,
+    IndeterminateIrreducibility,
     IndeterminateIsomorphism,
     InvariantData,
     IrrVerdict,
@@ -93,9 +94,11 @@ __all__ = [
     "ALL_TWISTS",
     "AnnihilatorFails",
     "BIModule",
+    "CertificateError",
     "ClassCoordinates",
     "EvenParams",
     "IdentificationFailed",
+    "IndeterminateIrreducibility",
     "IndeterminateIsomorphism",
     "InvariantData",
     "IrrVerdict",
@@ -141,7 +144,6 @@ __all__ = [
     "rat",
     "rational_roots",
     "rational_spectrum",
-    "sequences",
     "spin",
     "truncated_verma",
     "twist",

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import ClassVar
 
 from .exactlinalg import Matrix, Poly, RatLike, anticommutator, \
     is_squarefree, min_poly, rat, rational_roots
@@ -30,26 +31,32 @@ class NotAModule(Exception):
         super().__init__(f"defining relations fail: {bad}")
 
 
+class CertificateError(Exception):
+    """A certificate the library built failed its own verification (a
+    library bug); raised in place of returning an unchecked answer."""
+
+
 def _sign(i: int) -> int:
     return 1 if i % 2 == 0 else -1
 
 
 @dataclass(frozen=True)
 class SequenceTable:
-    """Closed-form eigenvalue/superdiagonal sequences for the even family and
-    for Verma-type modules; `delta` may be any rational (it equals d on the
-    (d+1)-dimensional module).
+    """Closed-form eigenvalue/superdiagonal sequences of either family and of
+    Verma-type modules (even family); `delta` may be any rational (it equals d
+    on the (d+1)-dimensional module).
 
     theta(i)      eigenvalue sequence of X
     theta_star(i) eigenvalue sequence of Y
     phi_upper(i)  superdiagonal of Y in the standard ladder basis
-    phi_lower(i)  superdiagonal of Y in the reversed-ladder basis
+    phi_lower(i)  superdiagonal of Y in the reversed-ladder basis (even family)
     """
 
     delta: Fraction
     a: Fraction
     b: Fraction
     c: Fraction
+    family: str = "even"
 
     def theta(self, i: int) -> Fraction:
         return _sign(i) * (2 * self.a - self.delta + 2 * i) / 2
@@ -58,6 +65,11 @@ class SequenceTable:
         return _sign(i) * (2 * self.b - self.delta + 2 * i) / 2
 
     def phi_upper(self, i: int) -> Fraction:
+        if self.family == "odd":
+            d = self.delta
+            if i % 2 == 0:
+                return Fraction(i) * (d + 1 - 2 * i - 2 * (self.a + self.b + self.c)) / 2
+            return Fraction(i - d - 1) * (d + 1 - 2 * i - 2 * (self.a + self.b - self.c)) / 2
         if i % 2 == 0:
             return i * (self.delta - i + 1)
         s = (2 * self.a + 2 * self.b - self.delta + 2 * i - 1) / 2
@@ -71,6 +83,9 @@ class SequenceTable:
 
     def central_scalars(self) -> tuple[Fraction, Fraction, Fraction]:
         """(kappa, lambda, mu) acting on the ladder module."""
+        if self.family == "odd":
+            a, b, c, n = self.a, self.b, self.c, self.delta + 1
+            return (2 * a * b - c * n, 2 * b * c - a * n, 2 * c * a - b * n)
         a2, b2, c2 = self.a ** 2, self.b ** 2, self.c ** 2
         shift = (self.delta + 1) ** 2 / 4
         return (c2 - a2 - b2 + shift,
@@ -79,83 +94,47 @@ class SequenceTable:
 
 
 @dataclass(frozen=True)
-class OddSequenceTable:
-    """Sequences for the odd-dimensional family (d even).
+class FamilyParams:
+    """Parameters (d, a, b, c) of one family, fixed by the subclass: d odd
+    >= 1 for the even-dimensional family, d even >= 0 for the odd one."""
 
-    theta has the same closed form as the even family with delta = d; the
-    superdiagonal phi has its own piecewise form and there is no reversed
-    counterpart in this family.
-    """
-
-    d: int
-    a: Fraction
-    b: Fraction
-    c: Fraction
-
-    def theta(self, i: int) -> Fraction:
-        return _sign(i) * (2 * self.a - self.d + 2 * i) / 2
-
-    def theta_star(self, i: int) -> Fraction:
-        return _sign(i) * (2 * self.b - self.d + 2 * i) / 2
-
-    def phi(self, i: int) -> Fraction:
-        d = self.d
-        if i % 2 == 0:
-            return Fraction(i) * (d + 1 - 2 * i - 2 * (self.a + self.b + self.c)) / 2
-        return Fraction(i - d - 1) * (d + 1 - 2 * i - 2 * (self.a + self.b - self.c)) / 2
-
-    def central_scalars(self) -> tuple[Fraction, Fraction, Fraction]:
-        a, b, c, n = self.a, self.b, self.c, self.d + 1
-        return (2 * a * b - c * n, 2 * b * c - a * n, 2 * c * a - b * n)
-
-
-@dataclass(frozen=True)
-class EvenParams:
-    """Parameters of the even-dimensional family: d odd >= 1, rational a, b, c."""
-
+    family: ClassVar[str]
     d: int
     a: Fraction
     b: Fraction
     c: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1 or self.d % 2 == 0:
-            raise ValueError(f"even family needs odd d >= 1, got {self.d}")
+        # the smallest admissible d also has the parity every d must have
+        low, need = {"even": (1, "odd d >= 1"), "odd": (0, "even d >= 0")}[self.family]
+        if not isinstance(self.d, int) or self.d < low or self.d % 2 != low:
+            raise ValueError(f"{self.family} family needs {need}, got {self.d}")
         for f in "abc":
             object.__setattr__(self, f, rat(getattr(self, f)))
 
     def table(self) -> SequenceTable:
-        return SequenceTable(Fraction(self.d), self.a, self.b, self.c)
+        return SequenceTable(Fraction(self.d), self.a, self.b, self.c, self.family)
 
     def module(self) -> "BIModule":
-        return even_module(self.d, self.a, self.b, self.c)
+        """The (d+1)-dimensional module: X v_i = theta_i v_i + v_{i+1}
+        (v_{d+1} = 0), Y v_i = theta*_i v_i + phi_i v_{i-1}, and kappa,
+        lambda, mu act by the three central scalars of the sequence table."""
+        t = self.table()
+        n = self.d + 1
+        x = _lower_bidiagonal([t.theta(i) for i in range(n)])
+        y = _upper_bidiagonal([t.theta_star(i) for i in range(n)],
+                              [t.phi_upper(i) for i in range(1, n)])
+        return BIModule(x, y, *t.central_scalars())
 
 
-@dataclass(frozen=True)
-class OddParams:
+class EvenParams(FamilyParams):
+    """Parameters of the even-dimensional family: d odd >= 1, rational a, b, c."""
+    family = "even"
+
+
+class OddParams(FamilyParams):
     """Parameters of the odd-dimensional family: d even >= 0, rational a, b, c."""
-
-    d: int
-    a: Fraction
-    b: Fraction
-    c: Fraction
-
-    def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 0 or self.d % 2 == 1:
-            raise ValueError(f"odd family needs even d >= 0, got {self.d}")
-        for f in "abc":
-            object.__setattr__(self, f, rat(getattr(self, f)))
-
-    def table(self) -> OddSequenceTable:
-        return OddSequenceTable(self.d, self.a, self.b, self.c)
-
-    def module(self) -> "BIModule":
-        return odd_module(self.d, self.a, self.b, self.c)
-
-
-def sequences(params: EvenParams | OddParams):
-    """Closed-form sequence table for either family."""
-    return params.table()
+    family = "odd"
 
 
 @dataclass(frozen=True)
@@ -178,7 +157,6 @@ class TwistSign:
         return self.eps == 1 and self.eps_prime == 1
 
 
-TWIST_IDENTITY = TwistSign(1, 1)
 ALL_TWISTS = (TwistSign(1, 1), TwistSign(1, -1), TwistSign(-1, 1), TwistSign(-1, -1))
 
 
@@ -193,7 +171,6 @@ class BIModule:
     kappa: Fraction
     lam: Fraction | None = None
     mu: Fraction | None = None
-    provenance: str = ""
 
     def __post_init__(self):
         if not self.X.is_square or self.X.shape != self.Y.shape:
@@ -233,30 +210,13 @@ def derive_Z(x: Matrix, y: Matrix, kappa: RatLike) -> Matrix:
 
 
 def even_module(d: int, a: RatLike, b: RatLike, c: RatLike) -> BIModule:
-    """The (d+1)-dimensional module of the even-dimensional family, d odd.
-
-    X v_i = theta_i v_i + v_{i+1} (v_{d+1} = 0),
-    Y v_i = theta*_i v_i + phi_i v_{i-1}, and kappa, lambda, mu act by the
-    three central scalars of the sequence table.
-    """
-    p = EvenParams(d, rat(a), rat(b), rat(c))
-    t = p.table()
-    x = _lower_bidiagonal([t.theta(i) for i in range(d + 1)])
-    y = _upper_bidiagonal([t.theta_star(i) for i in range(d + 1)],
-                          [t.phi_upper(i) for i in range(1, d + 1)])
-    kappa, lam, mu = t.central_scalars()
-    return BIModule(x, y, kappa, lam, mu, provenance=f"even(d={d},a={p.a},b={p.b},c={p.c})")
+    """The (d+1)-dimensional module of the even-dimensional family, d odd."""
+    return EvenParams(d, rat(a), rat(b), rat(c)).module()
 
 
 def odd_module(d: int, a: RatLike, b: RatLike, c: RatLike) -> BIModule:
     """The (d+1)-dimensional module of the odd-dimensional family, d even."""
-    p = OddParams(d, rat(a), rat(b), rat(c))
-    t = p.table()
-    x = _lower_bidiagonal([t.theta(i) for i in range(d + 1)])
-    y = _upper_bidiagonal([t.theta_star(i) for i in range(d + 1)],
-                          [t.phi(i) for i in range(1, d + 1)])
-    kappa, lam, mu = t.central_scalars()
-    return BIModule(x, y, kappa, lam, mu, provenance=f"odd(d={d},a={p.a},b={p.b},c={p.c})")
+    return OddParams(d, rat(a), rat(b), rat(c)).module()
 
 
 def _lower_bidiagonal(diag: list[Fraction]) -> Matrix:
@@ -279,9 +239,7 @@ def twist(v: BIModule, sign: TwistSign) -> BIModule:
     return BIModule(
         e * v.X, ep * v.Y, e * ep * v.kappa,
         None if v.lam is None else e * v.lam,
-        None if v.mu is None else ep * v.mu,
-        provenance=f"{v.provenance}^({e},{ep})" if v.provenance else f"twist({e},{ep})",
-    )
+        None if v.mu is None else ep * v.mu)
 
 
 @dataclass(frozen=True)
@@ -307,6 +265,12 @@ class RelationReport:
         raise KeyError(name)
 
 
+def relation_residuals(x: Matrix, y: Matrix, z: Matrix) -> tuple[Matrix, Matrix]:
+    """({Y, Z} - X, {Z, X} - Y): the two presentation relations with content
+    once Z is derived; on a module both are scalar (lambda, mu)."""
+    return anticommutator(y, z) - x, anticommutator(z, x) - y
+
+
 def check_relations(v: BIModule) -> RelationReport:
     """Verify the defining relations on the module.
 
@@ -314,12 +278,8 @@ def check_relations(v: BIModule) -> RelationReport:
     content is that {Y, Z} - X and {Z, X} - Y are scalar matrices (centrality
     on a module), matching the stored lam/mu when those are present.
     """
-    n = v.dim
-    eye = Matrix.identity(n)
-    z = v.Z
     checks = [RelationCheck("kappa", True, v.kappa, v.kappa)]
-    lam_mat = anticommutator(v.Y, z) - v.X
-    mu_mat = anticommutator(z, v.X) - v.Y
+    lam_mat, mu_mat = relation_residuals(v.X, v.Y, v.Z)
     for name, mat, stored in (("lambda", lam_mat, v.lam), ("mu", mu_mat, v.mu)):
         s = mat.scalar_value()
         passed = s is not None and (stored is None or s == stored)
@@ -368,8 +328,7 @@ def example_even() -> BIModule:
         [0, 0, "1/2", -3],
         [0, 0, 0, "-3/2"],
     ])
-    return BIModule(x, y, Fraction(4), Fraction(4), Fraction(2),
-                    provenance="exampleE")
+    return BIModule(x, y, Fraction(4), Fraction(4), Fraction(2))
 
 
 def example_odd() -> BIModule:
@@ -388,5 +347,4 @@ def example_odd() -> BIModule:
         [0, 0, 0, "-3/2", -12],
         [0, 0, 0, 0, "5/2"],
     ])
-    return BIModule(x, y, Fraction(4), Fraction(-8), Fraction(-4),
-                    provenance="exampleO")
+    return BIModule(x, y, Fraction(4), Fraction(-8), Fraction(-4))

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .bimodule import BIModule, EvenParams, OddParams, TwistSign, \
-    central_scalars, even_module, odd_module, twist
+from .bimodule import BIModule, CertificateError, EvenParams, OddParams, \
+    TwistSign, central_scalars, even_module, odd_module, twist
 from .exactlinalg import Matrix, RatLike, RrefAccumulator, Vector, \
     kernel_basis, rat, rational_spectrum, spin
 
@@ -46,6 +46,10 @@ class NotRationalFamily(Exception):
 
 class IdentificationFailed(Exception):
     """No candidate coordinate tuple could be certified by an intertwiner."""
+
+
+class IndeterminateIrreducibility(IdentificationFailed):
+    """The oracle could not decide irreducibility, so identify cannot start."""
 
 
 class IndeterminateIsomorphism(Exception):
@@ -92,10 +96,8 @@ class IrrVerdict:
 
 
 def criterion_verdict(params: EvenParams | OddParams) -> IrrVerdict:
-    if isinstance(params, EvenParams):
-        ok = criterion_even(params.d, params.a, params.b, params.c)
-    else:
-        ok = criterion_odd(params.d, params.a, params.b, params.c)
+    criterion = criterion_even if params.family == "even" else criterion_odd
+    ok = criterion(params.d, params.a, params.b, params.c)
     return IrrVerdict("irreducible" if ok else "reducible", None, "criterion")
 
 
@@ -124,14 +126,17 @@ def _norton(v_mod: BIModule, nmat: Matrix, label: str) -> IrrVerdict:
     v = kernel_basis(nmat)[0]
     primal = spin([v], [v_mod.X, v_mod.Y])
     if len(primal) < n:
-        assert verify_invariant_subspace(v_mod, primal)
+        if not verify_invariant_subspace(v_mod, primal):
+            raise CertificateError(f"spin of the kernel of {label} is not a submodule")
         return IrrVerdict("reducible", primal, "oracle",
                           f"kernel of {label} generates a proper submodule")
     w = kernel_basis(nmat.T)[0]
     dual = spin([w], [v_mod.X.T, v_mod.Y.T])
     if len(dual) < n:
         witness = kernel_basis(Matrix(dual))
-        assert verify_invariant_subspace(v_mod, witness)
+        if not verify_invariant_subspace(v_mod, witness):
+            raise CertificateError(f"dual-spin annihilator for the kernel of {label} "
+                                   "is not a submodule")
         return IrrVerdict("reducible", witness, "oracle",
                           f"dual kernel of {label} generates a proper submodule; "
                           "its annihilator is the witness")
@@ -219,13 +224,6 @@ def lowering_matrix(d: int, a: RatLike, b: RatLike, c: RatLike,
     raise ValueError(f"unknown method {method!r}")
 
 
-def _prod(gen) -> Fraction:
-    out = _F1
-    for g in gen:
-        out *= g
-    return out
-
-
 def _lowering_closed(t, d: int) -> Matrix:
     rows = []
     for i in range(d + 1):
@@ -234,11 +232,13 @@ def _lowering_closed(t, d: int) -> Matrix:
             if j > i or (i % 2 == 0 and j % 2 == 1):
                 row.append(_F0)
                 continue
-            val = _prod(t.theta_star(0) - t.theta_star(d - h + 1)
-                        for h in range(1, i - j + 1))
-            val *= _prod(t.phi_lower(h) for h in range(1, d - i + 1))
-            val *= _prod(t.phi_upper(2 * h - 1) for h in range(1, (j + 1) // 2 + 1))
-            val *= _prod(t.phi_upper(2 * (i // 2 - h + 1)) for h in range(1, j // 2 + 1))
+            val = math.prod((t.theta_star(0) - t.theta_star(d - h + 1)
+                             for h in range(1, i - j + 1)), start=_F1)
+            val *= math.prod((t.phi_lower(h) for h in range(1, d - i + 1)), start=_F1)
+            val *= math.prod((t.phi_upper(2 * h - 1) for h in range(1, (j + 1) // 2 + 1)),
+                             start=_F1)
+            val *= math.prod((t.phi_upper(2 * (i // 2 - h + 1)) for h in range(1, j // 2 + 1)),
+                             start=_F1)
             row.append(val)
         rows.append(row)
     return Matrix(rows)
@@ -248,9 +248,9 @@ def _lowering_recurrence(t, d: int) -> Matrix:
     size = d + 1
     l = [[_F0] * size for _ in range(size)]
     for i in range(size):
-        l[i][0] = (_prod(t.theta_star(0) - t.theta_star(d - h + 1)
-                         for h in range(1, i + 1))
-                   * _prod(t.phi_lower(h) for h in range(1, d - i + 1)))
+        l[i][0] = (math.prod((t.theta_star(0) - t.theta_star(d - h + 1)
+                              for h in range(1, i + 1)), start=_F1)
+                   * math.prod((t.phi_lower(h) for h in range(1, d - i + 1)), start=_F1))
     for j in range(1, size):
         for i in range(j, size):
             l[i][j] = (t.theta(i) - t.theta(j - 1)) * l[i][j - 1] + l[i - 1][j - 1]
@@ -264,8 +264,8 @@ def _lowering_operator(p: EvenParams, t, d: int) -> Matrix:
     for h in range(1, d + 1):
         r = r * (e.Y - t.theta_star(h) * eye)
     # the full lowering product maps everything into the bottom ladder line
-    assert all(not r[i, j] for i in range(1, d + 1) for j in range(d + 1)), \
-        "lowering product escaped the lowest ladder line"
+    if any(r[i, j] for i in range(1, d + 1) for j in range(d + 1)):
+        raise CertificateError("lowering product escaped the lowest ladder line")
     rows = [None] * (d + 1)
     row = r.row(0)
     rows[d] = row
@@ -308,7 +308,8 @@ def a_flip_basis_matrices(d: int, a: RatLike, b: RatLike, c: RatLike) -> FlipBas
     xw = inv * e.X * basis
     yw = inv * e.Y * basis
     flipped = even_module(d, -p.a, p.b, p.c)
-    assert xw == flipped.X and yw == flipped.Y, "reversed-ladder form is off (library bug)"
+    if xw != flipped.X or yw != flipped.Y:
+        raise CertificateError("reversed-ladder form is off (library bug)")
     return FlipBasis(xw, yw, basis)
 
 
@@ -341,13 +342,26 @@ def _is_intertwiner(t: Matrix, v_mod: BIModule, w_mod: BIModule) -> bool:
     return t * v_mod.X == w_mod.X * t and t * v_mod.Y == w_mod.Y * t
 
 
+def _certified(t: Matrix, v_mod: BIModule, w_mod: BIModule) -> Matrix:
+    if not _is_intertwiner(t, v_mod, w_mod):
+        raise CertificateError("intertwiner-space element fails to intertwine")
+    return t
+
+
+def _direct_sum(a: Matrix, b: Matrix) -> Matrix:
+    pad_a, pad_b = (_F0,) * b.ncols, (_F0,) * a.ncols
+    return Matrix([r + pad_a for r in a.rows] + [pad_b + r for r in b.rows])
+
+
 def _kernel_vector_intertwiner(v_mod: BIModule, w_mod: BIModule):
     """Fast isomorphism decision through a shared nullity-1 eigenvalue of Y.
 
     Returns (True, T) / (False, None) when conclusive, or None to fall back.
-    Any isomorphism maps ker(Y_V - lam) onto ker(Y_W - lam); when both are
-    lines and the V-line spins to everything, the basis-matching map T is the
-    only candidate up to scale, so verifying it decides the question.
+    Any isomorphism maps ker(Y_V - lam) onto ker(Y_W - lam).  When both are
+    lines, spin (k_V, k_W) under X_V + X_W and Y_V + Y_W: the spin is the
+    graph of a map T with T k_V = k_W exactly when its rref basis is
+    [I | T^T].  T is then the only candidate up to scale, so verifying it
+    decides the question; a wider spin rules out every isomorphism.
     """
     n = v_mod.dim
     roots = rational_spectrum(v_mod.Y)
@@ -361,22 +375,14 @@ def _kernel_vector_intertwiner(v_mod: BIModule, w_mod: BIModule):
         kw = kernel_basis(w_mod.Y - lam * eye)
         if len(kw) != 1:
             return (False, None)  # isomorphisms preserve eigen-nullities
-        raw = [kv[0]]
-        imgs = [kw[0]]
-        acc = RrefAccumulator(n)
-        acc.add(kv[0])
-        idx = 0
-        while idx < len(raw) and len(raw) < n:
-            for op_v, op_w in ((v_mod.X, w_mod.X), (v_mod.Y, w_mod.Y)):
-                nb = op_v.matvec(raw[idx])
-                if acc.add(nb):
-                    raw.append(nb)
-                    imgs.append(op_w.matvec(imgs[idx]))
-            idx += 1
-        if len(raw) < n:
+        graph = spin([kv[0] + kw[0]], [_direct_sum(v_mod.X, w_mod.X),
+                                       _direct_sum(v_mod.Y, w_mod.Y)])
+        # rref rows sort by pivot, so the V-part is full iff row n-1 pivots at n-1
+        if len(graph) < n or not graph[n - 1][n - 1]:
             return None  # seed generates a proper submodule; go the slow way
-        big = Matrix.from_columns(raw)
-        t = Matrix.from_columns(imgs) * big.inverse()
+        if len(graph) > n:
+            return (False, None)
+        t = Matrix.from_columns([row[n:] for row in graph])
         if _is_intertwiner(t, v_mod, w_mod) and t.rank() == n:
             return (True, t)
         return (False, None)
@@ -406,8 +412,7 @@ def are_isomorphic(v_mod: BIModule, w_mod: BIModule) -> tuple[bool, Matrix | Non
     n = v_mod.dim
     for t in space:
         if t.rank() == n:
-            assert _is_intertwiner(t, v_mod, w_mod)
-            return (True, t)
+            return (True, _certified(t, v_mod, w_mod))
     k = min(len(space), 3)
     for coeffs in itertools.product((0, 1, -1, 2, -2), repeat=k):
         if sum(1 for cf in coeffs if cf) < 2:
@@ -416,8 +421,7 @@ def are_isomorphic(v_mod: BIModule, w_mod: BIModule) -> tuple[bool, Matrix | Non
         for cf, basis_el in zip(coeffs[1:], space[1:]):
             t = t + basis_el * cf
         if t.rank() == n:
-            assert _is_intertwiner(t, v_mod, w_mod)
-            return (True, t)
+            return (True, _certified(t, v_mod, w_mod))
     raise IndeterminateIsomorphism(
         "nonzero intertwiner space but no invertible element found; "
         "both modules are reducible")
@@ -517,7 +521,9 @@ def identify(v_mod: BIModule, *, assume_irreducible: bool = False) -> ClassCoord
     if not assume_irreducible:
         verdict = oracle_irreducible(v_mod)
         if not verdict.is_irreducible:
-            raise IdentificationFailed(f"module is not irreducible ({verdict.status})")
+            exc = (IndeterminateIrreducibility if verdict.status == "indeterminate"
+                   else IdentificationFailed)
+            raise exc(f"module is not irreducible ({verdict.status})")
     inv = invariants(v_mod)
     n = v_mod.dim
     d = n - 1
@@ -527,7 +533,8 @@ def identify(v_mod: BIModule, *, assume_irreducible: bool = False) -> ClassCoord
         ok, _ = are_isomorphic(v_mod, odd_module(d, a, b, c))
         if not ok:
             raise IdentificationFailed("no invertible intertwiner to the odd family")
-        assert criterion_odd(d, a, b, c), "identified an odd reducible point (library bug)"
+        if not criterion_odd(d, a, b, c):
+            raise IdentificationFailed("identified an odd reducible point (library bug)")
         return ClassCoordinates("odd", d, None, (a, b, c))
 
     half = Fraction(n, 2)
@@ -576,8 +583,8 @@ def identify(v_mod: BIModule, *, assume_irreducible: bool = False) -> ClassCoord
         target = twist(even_module(d, a_val, b_val, c_val), sign)
         ok, _ = are_isomorphic(v_mod, target)
         if ok:
-            assert criterion_even(d, a_val, b_val, c_val), \
-                "identified an even reducible point (library bug)"
+            if not criterion_even(d, a_val, b_val, c_val):
+                raise IdentificationFailed("identified an even reducible point (library bug)")
             return ClassCoordinates("even", d, sign, (a_val, b_val, c_val))
     if sqrt_failed:
         raise NotRationalFamily("central-scalar sums are not rational squares")

@@ -21,9 +21,9 @@ from fractions import Fraction
 
 from .bimodule import BIModule, NotAModule, TwistSign, check_relations, \
     even_module, example_even, example_odd, odd_module, twist
-from .classify import IdentificationFailed, IndeterminateIsomorphism, \
-    NonSplitSpectrum, NotRationalFamily, are_isomorphic, criterion_even, \
-    criterion_odd, identify, invariants, oracle_irreducible
+from .classify import IdentificationFailed, IndeterminateIrreducibility, \
+    IndeterminateIsomorphism, NonSplitSpectrum, NotRationalFamily, are_isomorphic, \
+    criterion_even, criterion_odd, identify, invariants, oracle_irreducible
 from .exactlinalg import Matrix, Poly, is_squarefree, min_poly, rational_roots
 
 EXIT_OK = 0
@@ -40,10 +40,6 @@ class CliError(Exception):
 
 # --- exact serialization --------------------------------------------------------
 
-def _rat_to_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _str_to_rat(s) -> Fraction:
     if not isinstance(s, str):
         raise CliError(EXIT_INPUT, f"rational must be a string, got {s!r}")
@@ -57,7 +53,7 @@ def _str_to_rat(s) -> Fraction:
 
 
 def _matrix_to_lists(m: Matrix) -> list[list[str]]:
-    return [[_rat_to_str(e) for e in row] for row in m.rows]
+    return [[str(e) for e in row] for row in m.rows]
 
 
 def _matrix_from_lists(rows, what: str) -> Matrix:
@@ -70,11 +66,11 @@ def serialize_module(mod: BIModule, meta: dict | None = None) -> str:
     doc = {"dim": mod.dim,
            "X": _matrix_to_lists(mod.X),
            "Y": _matrix_to_lists(mod.Y),
-           "kappa": _rat_to_str(mod.kappa)}
+           "kappa": str(mod.kappa)}
     if mod.lam is not None:
-        doc["lambda"] = _rat_to_str(mod.lam)
+        doc["lambda"] = str(mod.lam)
     if mod.mu is not None:
-        doc["mu"] = _rat_to_str(mod.mu)
+        doc["mu"] = str(mod.mu)
     doc["meta"] = dict(meta) if meta else {}
     return json.dumps(doc, indent=2) + "\n"
 
@@ -171,19 +167,17 @@ def _family_meta(family: str, d: int, a, b, c, sign: TwistSign) -> dict:
             "c": str(Fraction(c)), "twist": f"{sign.eps},{sign.eps_prime}"}
 
 
-def _criterion_from_meta(meta: dict):
-    """(holds, coordinates) from a provenance map, or None if absent/foreign."""
+def _criterion_from_meta(meta: dict) -> bool | None:
+    """Whether the criterion holds at a module file's meta coordinates, or
+    None if they are absent/foreign."""
     try:
         family = meta["family"]
         d = int(meta["d"])
         a, b, c = (Fraction(meta[k]) for k in ("a", "b", "c"))
     except (KeyError, ValueError, ZeroDivisionError, TypeError):
         return None
-    if family == "even":
-        return criterion_even(d, a, b, c), (family, d, a, b, c)
-    if family == "odd":
-        return criterion_odd(d, a, b, c), (family, d, a, b, c)
-    return None
+    criterion = {"even": criterion_even, "odd": criterion_odd}.get(family)
+    return None if criterion is None else criterion(d, a, b, c)
 
 
 # --- report fragments --------------------------------------------------------------
@@ -191,31 +185,42 @@ def _criterion_from_meta(meta: dict):
 def _relations_fragment(mod: BIModule) -> tuple[list[dict], bool]:
     rep = check_relations(mod)
     rows = [{"relation": ch.name, "passed": ch.passed,
-             "scalar": None if ch.scalar is None else _rat_to_str(ch.scalar),
-             "expected": None if ch.expected is None else _rat_to_str(ch.expected)}
+             "scalar": None if ch.scalar is None else str(ch.scalar),
+             "expected": None if ch.expected is None else str(ch.expected)}
             for ch in rep.checks]
     return rows, rep.ok
+
+
+def _relations_gate(report: dict, args, started: float, *mods: BIModule) -> int | None:
+    """Emit the exit-1 report and return its code if any input fails the
+    defining relations; None when every input is a module."""
+    frags = [_relations_fragment(mod) for mod in mods]
+    if all(ok for _, ok in frags):
+        return None
+    report["relations"] = frags[0][0] if len(frags) == 1 else [rows for rows, _ in frags]
+    report["error"] = "defining relations fail; not a module"
+    return _emit_report(report, args, started, EXIT_FAIL)
 
 
 def _verdict_fragment(verdict) -> dict:
     out = {"status": verdict.status, "method": verdict.method, "detail": verdict.detail}
     out["witness"] = (None if verdict.witness is None
-                      else [[_rat_to_str(e) for e in v] for v in verdict.witness])
+                      else [[str(e) for e in v] for v in verdict.witness])
     return out
 
 
 def _invariants_fragment(mod: BIModule) -> dict:
     inv = invariants(mod)
-    return {"trace_X": _rat_to_str(inv.trace_x), "trace_Y": _rat_to_str(inv.trace_y),
-            "kappa": _rat_to_str(inv.kappa), "lambda": _rat_to_str(inv.lam),
-            "mu": _rat_to_str(inv.mu)}
+    return {"trace_X": str(inv.trace_x), "trace_Y": str(inv.trace_y),
+            "kappa": str(inv.kappa), "lambda": str(inv.lam),
+            "mu": str(inv.mu)}
 
 
 def _coords_fragment(coords) -> dict:
     return {"family": coords.family, "d": coords.d,
             "twist": None if coords.twist is None
             else f"{coords.twist.eps},{coords.twist.eps_prime}",
-            "params": [_rat_to_str(p) for p in coords.params]}
+            "params": [str(p) for p in coords.params]}
 
 
 def _factored_string(p: Poly) -> str | None:
@@ -272,16 +277,12 @@ def cmd_classify(args) -> int:
     started = time.monotonic()
     mod, meta = parse_module(_read_input(args.path))
     report: dict = {"command": "classify", "input": args.path}
-    rows, ok = _relations_fragment(mod)
-    if not ok:
-        report["relations"] = rows
-        report["error"] = "defining relations fail; not a module"
-        return _emit_report(report, args, started, EXIT_FAIL)
+    if (code := _relations_gate(report, args, started, mod)) is not None:
+        return code
     verdict = oracle_irreducible(mod)
     report["oracle"] = _verdict_fragment(verdict)
-    crit = _criterion_from_meta(meta)
-    if crit is not None:
-        holds, _ = crit
+    holds = _criterion_from_meta(meta)
+    if holds is not None:
         report["criterion"] = {"status": "irreducible" if holds else "reducible",
                                "method": "criterion"}
         if verdict.status != "indeterminate":
@@ -306,16 +307,14 @@ def cmd_identify(args) -> int:
     started = time.monotonic()
     mod, _ = parse_module(_read_input(args.path))
     report: dict = {"command": "identify", "input": args.path}
-    rows, ok = _relations_fragment(mod)
-    if not ok:
-        report["relations"] = rows
-        report["error"] = "defining relations fail; not a module"
-        return _emit_report(report, args, started, EXIT_FAIL)
+    if (code := _relations_gate(report, args, started, mod)) is not None:
+        return code
     try:
         coords = identify(mod)
     except IdentificationFailed as exc:
         report["error"] = str(exc)
-        return _emit_report(report, args, started, EXIT_FAIL)
+        code = EXIT_INDETERMINATE if isinstance(exc, IndeterminateIrreducibility) else EXIT_FAIL
+        return _emit_report(report, args, started, code)
     report["class"] = _coords_fragment(coords)
     report["invariants"] = _invariants_fragment(mod)
     return _emit_report(report, args, started, EXIT_OK)
@@ -326,6 +325,8 @@ def cmd_iso(args) -> int:
     mod1, _ = parse_module(_read_input(args.path1))
     mod2, _ = parse_module(_read_input(args.path2))
     report: dict = {"command": "iso", "inputs": [args.path1, args.path2]}
+    if (code := _relations_gate(report, args, started, mod1, mod2)) is not None:
+        return code
     try:
         ok, t = are_isomorphic(mod1, mod2)
     except IndeterminateIsomorphism as exc:
@@ -348,7 +349,7 @@ def cmd_minpoly(args) -> int:
         squarefree = is_squarefree(p)
         results.append({
             "generator": name,
-            "min_poly_coeffs": [_rat_to_str(cf) for cf in p.coeffs],
+            "min_poly_coeffs": [str(cf) for cf in p.coeffs],
             "factored": _factored_string(p),
             "squarefree": squarefree,
             "split": roots.split,
@@ -371,7 +372,7 @@ def cmd_scan(args) -> int:
     count = 0
     for a, b, c in itertools.product(values, repeat=3):
         count += 1
-        point = [_rat_to_str(a), _rat_to_str(b), _rat_to_str(c)]
+        point = [str(a), str(b), str(c)]
         expected = crit_fn(args.d, a, b, c)
         verdict = oracle_irreducible(build_fn(args.d, a, b, c))
         if verdict.status == "indeterminate":

@@ -9,7 +9,7 @@ tool.
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -31,18 +31,6 @@ def rat(x: RatLike) -> Fraction:
 
 def vec(entries: Iterable[RatLike]) -> Vector:
     return tuple(rat(x) for x in entries)
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v) if a), _F0)
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: Fraction, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
 
 
 def is_zero_vec(u: Sequence[Fraction]) -> bool:
@@ -219,8 +207,8 @@ class Matrix:
         if not self.is_square:
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        aug = Matrix._new(tuple(self.rows[i] + Matrix.identity(n).rows[i]
-                                for i in range(n)))
+        eye = Matrix.identity(n).rows
+        aug = Matrix._new(tuple(r + e for r, e in zip(self.rows, eye)))
         red, rank = rref(aug)
         if rank < n or any(red.rows[i][i] != _F1 for i in range(n)):
             raise ValueError("matrix is singular")
@@ -363,10 +351,6 @@ class Poly:
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
 
     @classmethod
     def from_roots(cls, roots: Iterable[RatLike]) -> "Poly":
@@ -545,9 +529,7 @@ def rational_roots(p: Poly) -> Roots:
         coeffs.pop(0)
     work = Poly(coeffs)
     if work.degree > 0:
-        scale = 1
-        for c in work.coeffs:
-            scale = scale * c.denominator // _gcd(scale, c.denominator)
+        scale = math.lcm(*(c.denominator for c in work.coeffs))
         ints = [int(c * scale) for c in work.coeffs]
         candidates = sorted({Fraction(s * num, den)
                              for num in _divisors(ints[0])
@@ -558,12 +540,6 @@ def rational_roots(p: Poly) -> Roots:
                 roots.append(cand)
                 work = work // Poly((-cand, 1))
     return Roots(tuple(sorted(roots)), len(roots) == degree)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def is_squarefree(p: Poly) -> bool:

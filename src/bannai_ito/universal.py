@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bimodule import BIModule, EvenParams, SequenceTable, check_relations, \
-    even_module
-from .exactlinalg import Matrix, RatLike, Vector, anticommutator, is_zero_vec, \
-    rat, vec
+from .bimodule import BIModule, CertificateError, EvenParams, SequenceTable, \
+    _lower_bidiagonal, _upper_bidiagonal, check_relations, derive_Z, relation_residuals
+from .exactlinalg import Matrix, RatLike, Vector, is_zero_vec, rat, vec
 
 PREMISES = ("highest_weight", "second_order", "kappa", "lambda", "mu")
 
@@ -67,10 +66,9 @@ def truncated_verma(delta: RatLike, a: RatLike, b: RatLike, c: RatLike,
     if n < 3:
         raise ValueError("need n >= 3 for a nonempty interior")
     t = SequenceTable(rat(delta), rat(a), rat(b), rat(c))
-    x = Matrix([[t.theta(i) if j == i else (Fraction(1) if j == i - 1 else Fraction(0))
-                 for j in range(n)] for i in range(n)])
-    y = Matrix([[t.theta_star(i) if j == i else (t.phi_upper(i + 1) if j == i + 1 else Fraction(0))
-                 for j in range(n)] for i in range(n)])
+    x = _lower_bidiagonal([t.theta(i) for i in range(n)])
+    y = _upper_bidiagonal([t.theta_star(i) for i in range(n)],
+                          [t.phi_upper(i) for i in range(1, n)])
     kappa, lam, mu = t.central_scalars()
     return TruncatedVerma(t, n, x, y, kappa, lam, mu)
 
@@ -92,9 +90,8 @@ class VermaRelationReport:
 def interior_relation_check(tv: TruncatedVerma) -> VermaRelationReport:
     """Check the defining relations column by column on the truncation."""
     eye = Matrix.identity(tv.n)
-    z = anticommutator(tv.X, tv.Y) - tv.kappa * eye
-    lam_res = anticommutator(tv.Y, z) - tv.X - tv.lam * eye
-    mu_res = anticommutator(z, tv.X) - tv.Y - tv.mu * eye
+    lam_mat, mu_mat = relation_residuals(tv.X, tv.Y, derive_Z(tv.X, tv.Y, tv.kappa))
+    lam_res, mu_res = lam_mat - tv.lam * eye, mu_mat - tv.mu * eye
     return VermaRelationReport(
         tuple(is_zero_vec(lam_res.column(j)) for j in range(tv.n)),
         tuple(is_zero_vec(mu_res.column(j)) for j in range(tv.n)),
@@ -106,7 +103,8 @@ def ladder_vector(tv: TruncatedVerma, i: int, j: int) -> Vector:
     """Apply prod_{h=i}^{j} (X - theta_h) to m_i; the result is exactly m_{j+1}.
 
     Valid whenever 0 <= i <= j <= n-2 (the last factor must not touch the
-    truncation boundary).  The identity is asserted, and the vector returned.
+    truncation boundary).  The identity is checked (CertificateError if it
+    fails), and the vector returned.
     """
     if not (0 <= i <= j <= tv.n - 2):
         raise ValueError(f"need 0 <= i <= j <= n-2, got i={i}, j={j}, n={tv.n}")
@@ -115,7 +113,8 @@ def ladder_vector(tv: TruncatedVerma, i: int, j: int) -> Vector:
         th = tv.table.theta(h)
         v = tuple(x - th * y for x, y in zip(tv.X.matvec(v), v))
     expected = tuple(Fraction(1) if k == j + 1 else Fraction(0) for k in range(tv.n))
-    assert v == expected, "ladder identity broke inside the valid window"
+    if v != expected:
+        raise CertificateError("ladder identity broke inside the valid window")
     return v
 
 
@@ -166,7 +165,7 @@ def descend_to_even(params: EvenParams, v_mod: BIModule, v) -> Matrix:
     Premises: the universal-map premises for delta = d, plus the annihilator
     condition prod_{i=0}^{d} (X - theta_i) v = 0 (AnnihilatorFails otherwise).
     Columns of the result are the ladder images of v; both intertwining
-    equations are asserted before returning.
+    equations are checked before returning (CertificateError otherwise).
     """
     d = params.d
     images = universal_map(d, params.a, params.b, params.c, v_mod, v, d + 2)
@@ -174,9 +173,9 @@ def descend_to_even(params: EvenParams, v_mod: BIModule, v) -> Matrix:
         raise AnnihilatorFails(
             f"prod (X - theta_i) v = {images[d + 1]}, expected zero")
     t = Matrix.from_columns(images[:d + 1])
-    e = even_module(params.d, params.a, params.b, params.c)
-    assert t * e.X == v_mod.X * t, "X intertwining failed (library bug)"
-    assert t * e.Y == v_mod.Y * t, "Y intertwining failed (library bug)"
+    e = params.module()
+    if t * e.X != v_mod.X * t or t * e.Y != v_mod.Y * t:
+        raise CertificateError("descent map fails to intertwine (library bug)")
     return t
 
 

@@ -11,7 +11,6 @@ from bannai_ito.bimodule import (
     EvenParams,
     NotAModule,
     OddParams,
-    OddSequenceTable,
     SequenceTable,
     TwistSign,
     central_scalars,
@@ -23,7 +22,6 @@ from bannai_ito.bimodule import (
     example_odd,
     minimal_polynomials,
     odd_module,
-    sequences,
     twist,
 )
 from bannai_ito.exactlinalg import Matrix, Poly, anticommutator
@@ -49,7 +47,7 @@ Z_ODD = Matrix([
 
 
 def test_sequence_values_even():
-    t = sequences(EvenParams(3, 1, 0, 1))
+    t = EvenParams(3, 1, 0, 1).table()
     assert [t.theta(i) for i in range(4)] == [F(-1, 2), F(-1, 2), F(3, 2), F(-5, 2)]
     assert [t.theta_star(i) for i in range(4)] == [F(-3, 2), F(1, 2), F(1, 2), F(-3, 2)]
     assert [t.phi_upper(i) for i in range(1, 4)] == [F(1), F(4), F(-3)]
@@ -59,14 +57,15 @@ def test_sequence_values_even():
 
 
 def test_sequence_values_odd():
-    t = sequences(OddParams(4, "3/2", "1/2", "-1/2"))
+    t = OddParams(4, "3/2", "1/2", "-1/2").table()
+    assert t == SequenceTable(F(4), F(3, 2), F(1, 2), F(-1, 2), family="odd")
     assert [t.theta(i) for i in range(5)] == [F(-1, 2), F(-1, 2), F(3, 2), F(-5, 2), F(7, 2)]
     assert [t.theta_star(i) for i in range(5)] == [F(-3, 2), F(1, 2), F(1, 2), F(-3, 2), F(5, 2)]
-    assert [t.phi(i) for i in range(1, 5)] == [F(4), F(-2), F(6), F(-12)]
+    assert [t.phi_upper(i) for i in range(1, 5)] == [F(4), F(-2), F(6), F(-12)]
     assert t.central_scalars() == (F(4), F(-8), F(-4))
     # small second sample, frozen by hand
-    t0 = sequences(OddParams(2, 0, 0, 0))
-    assert [t0.phi(i) for i in range(1, 3)] == [F(-1), F(-1)]
+    t0 = OddParams(2, 0, 0, 0).table()
+    assert [t0.phi_upper(i) for i in range(1, 3)] == [F(-1), F(-1)]
 
 
 def test_params_validation():
@@ -247,7 +246,7 @@ def test_superdiagonal_recurrence(d, a, b, c):
     # phi_{i+1} + 2 phi_i + phi_{i-1}
     #   = 2 kappa - (3 theta_i + theta_{i-1}) theta*_i
     #     - (theta_i + 3 theta_{i-1}) theta*_{i-1},  with phi_0 = phi_{d+1} = 0
-    t = sequences(EvenParams(d, a, b, c))
+    t = EvenParams(d, a, b, c).table()
     kappa = t.central_scalars()[0]
     assert t.phi_upper(0) == 0 and t.phi_upper(d + 1) == 0
     for i in range(1, d + 1):

@@ -1,7 +1,12 @@
 """Tests for irreducibility decisions, the lowering-matrix certificate,
 isomorphism testing and class identification."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +16,9 @@ from bannai_ito.bimodule import BIModule, TwistSign, even_module, example_even, 
     example_odd, odd_module, twist
 from bannai_ito.classify import ClassCoordinates, IdentificationFailed, \
     IndeterminateIsomorphism, NonSplitSpectrum, NotRationalFamily, \
-    _chain_candidates, a_flip_basis_matrices, are_isomorphic, criterion_even, \
-    criterion_odd, criterion_verdict, identify, intertwiner_space, invariants, \
+    _chain_candidates, _kernel_vector_intertwiner, a_flip_basis_matrices, \
+    are_isomorphic, criterion_even, criterion_odd, criterion_verdict, identify, \
+    intertwiner_space, invariants, \
     lowering_matrix, odd_twist_check, oracle_irreducible, orbit_canonical, \
     verify_invariant_subspace
 from bannai_ito.exactlinalg import Matrix
@@ -237,8 +243,9 @@ def test_are_isomorphic_identity():
 
 
 def test_are_isomorphic_indeterminate():
-    # both modules decompose, yet every intertwiner kills e_0; the bounded
-    # search cannot settle the question and must say so
+    # v is not a module ({Y, Z} - X = -X_v is not scalar), which
+    # are_isomorphic does not check; every intertwiner kills e_0, so the
+    # bounded search finds nothing invertible and must say so
     x_v = Matrix([[0, 1], [0, 0]])
     x_w = Matrix.zero(2, 2)
     y = Matrix.zero(2, 2)
@@ -246,6 +253,48 @@ def test_are_isomorphic_indeterminate():
     w = BIModule(x_w, y, kappa=F(0), lam=F(0), mu=F(0))
     with pytest.raises(IndeterminateIsomorphism):
         are_isomorphic(v, w)
+
+
+def test_kernel_vector_intertwiner_outcomes():
+    # plain operator pairs, not modules: each exercises one exit of the spin
+    # of (k_V, k_W), where k = e_0 spans ker Y for both
+    y = Matrix.diagonal([0, 1])
+    v = BIModule(Matrix([[0, 0], [1, 0]]), y, F(0))
+    assert _kernel_vector_intertwiner(v, v) == (True, Matrix.identity(2))
+    # X_W swaps e_0 and e_1: X^2 kills k_V but not k_W, so the spin is wider than n
+    assert _kernel_vector_intertwiner(v, BIModule(Matrix([[0, 1], [1, 0]]), y, F(0))) \
+        == (False, None)
+    # X_W = 0: the spin is the graph of the singular intertwiner e_1 -> 0
+    assert _kernel_vector_intertwiner(v, BIModule(Matrix.zero(2), y, F(0))) == (False, None)
+    # X_V = 0: k_V spans a proper submodule, so the slow path must decide
+    assert _kernel_vector_intertwiner(BIModule(Matrix.zero(2), y, F(0)), v) is None
+
+
+def test_certificates_checked_under_python_O():
+    # assert statements vanish under -O; the guarantees must not
+    script = textwrap.dedent("""
+        import bannai_ito.classify as cls
+        from bannai_ito import CertificateError, IdentificationFailed, even_module
+        assert False, "assert statements must be stripped"
+        try:
+            cls.identify(even_module(1, 1, 0, 1), assume_irreducible=True)
+        except IdentificationFailed as exc:
+            print("identify:", exc)
+        cls.verify_invariant_subspace = lambda v_mod, basis: False
+        try:
+            cls.oracle_irreducible(even_module(1, 0, 0, 0))
+        except CertificateError as exc:
+            print("oracle:", exc)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == [
+        "identify: identified an even reducible point (library bug)",
+        "oracle: spin of the kernel of (X - (-1/2)) is not a submodule",
+    ]
 
 
 def test_invariants_of_examples():

@@ -12,6 +12,8 @@ import pytest
 
 from bannai_ito.bimodule import BIModule, TwistSign, even_module, example_even, \
     example_odd, odd_module, twist
+from bannai_ito import cli
+from bannai_ito.classify import IndeterminateIsomorphism
 from bannai_ito.cli import CliError, main, parse_module, serialize_module
 from bannai_ito.exactlinalg import Matrix
 
@@ -228,6 +230,16 @@ def test_identify_rejects_reducible(capsys, tmp_path):
     assert "error" in json.loads(out)
 
 
+def test_identify_indeterminate_exit_code(capsys, tmp_path):
+    # the 2-dimensional zero module is a module, but the oracle cannot decide
+    path = tmp_path / "z.json"
+    path.write_text(serialize_module(BIModule(Matrix.zero(2, 2), Matrix.zero(2, 2), kappa=F(0))))
+    code, out, _ = run_cli(capsys, "identify", str(path), "--no-timing")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["error"] == "module is not irreducible (indeterminate)" and doc["exit"] == 3
+
+
 # --- iso ---------------------------------------------------------------------------
 
 def test_iso_flip_pair(capsys, tmp_path):
@@ -257,18 +269,33 @@ def test_iso_distinct_classes(capsys, tmp_path):
     assert json.loads(out)["isomorphic"] is False
 
 
-def test_iso_indeterminate(capsys, tmp_path):
-    # both reducible with a nonzero intertwiner space lacking invertibles
-    v = BIModule(Matrix([[0, 1], [0, 0]]), Matrix.zero(2, 2),
-                 kappa=F(0), lam=F(0), mu=F(0))
-    w = BIModule(Matrix.zero(2, 2), Matrix.zero(2, 2),
-                 kappa=F(0), lam=F(0), mu=F(0))
-    p1, p2 = tmp_path / "v.json", tmp_path / "w.json"
-    p1.write_text(serialize_module(v))
-    p2.write_text(serialize_module(w))
-    code, out, _ = run_cli(capsys, "iso", str(p1), str(p2), "--no-timing")
+def test_iso_gates_on_relations(capsys, tmp_path):
+    # Y replaced by X breaks the relations; two equal copies must not pass
+    # as isomorphic modules
+    v = example_even()
+    path = tmp_path / "bad.json"
+    path.write_text(serialize_module(BIModule(v.X, v.X, v.kappa, v.lam, v.mu)))
+    code, out, _ = run_cli(capsys, "check", str(path), "--no-timing")
+    assert code == 1
+    code, out, _ = run_cli(capsys, "iso", str(path), str(path), "--no-timing")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "defining relations fail; not a module"
+    assert "isomorphic" not in doc
+    assert [[r["passed"] for r in rows] for rows in doc["relations"]] == [[True, False, False]] * 2
+
+
+def test_iso_indeterminate_exit_code(capsys, tmp_path, monkeypatch):
+    def undecided(v, w):
+        raise IndeterminateIsomorphism("no invertible element found")
+
+    monkeypatch.setattr(cli, "are_isomorphic", undecided)
+    path = tmp_path / "e.json"
+    path.write_text(serialize_module(example_even()))
+    code, out, _ = run_cli(capsys, "iso", str(path), str(path), "--no-timing")
     assert code == 3
-    assert json.loads(out)["isomorphic"] == "indeterminate"
+    doc = json.loads(out)
+    assert doc["isomorphic"] == "indeterminate" and doc["exit"] == 3
 
 
 # --- minpoly and scan -----------------------------------------------------------------
