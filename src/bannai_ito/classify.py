@@ -45,7 +45,7 @@ class NotRationalFamily(Exception):
 
 
 class IdentificationFailed(Exception):
-    """No candidate coordinate tuple could be certified by an intertwiner."""
+    """No family coordinates could be read off and certified by an intertwiner."""
 
 
 class IndeterminateIrreducibility(IdentificationFailed):
@@ -487,35 +487,15 @@ def _sqrt_exact(q: Fraction) -> Fraction | None:
     return Fraction(rn, rd)
 
 
-def _chain_candidates(spectrum: set[Fraction], d: int) -> list[tuple[int, Fraction]]:
-    """(sign, parameter) candidates from the alternating eigenvalue chain
-    theta-hat_j(alpha) = (-1)^j (alpha + j): a chain entry point (value in the
-    spectrum whose predecessor is not) pins the sign to (-1)^j and the
-    parameter to alpha + j + d/2.  Ordered by |j|, then sign +1 first."""
-    def hat(j, alpha):
-        return (alpha + j) if j % 2 == 0 else -(alpha + j)
-
-    seen = []
-    js = sorted(range(-(d + 2), d + 3), key=lambda j: (abs(j), j % 2, j < 0))
-    for j in js:
-        sign = 1 if j % 2 == 0 else -1
-        for alpha in sorted(spectrum):
-            if hat(j, alpha) in spectrum and hat(j - 1, alpha) not in spectrum:
-                cand = (sign, alpha + j + Fraction(d, 2))
-                if cand not in seen:
-                    seen.append(cand)
-    return seen
-
-
 def identify(v_mod: BIModule, *, assume_irreducible: bool = False) -> ClassCoordinates:
     """Coordinates of an irreducible module's isomorphism class.
 
-    Even dimension: twist signs come from the generator traces, squared
-    parameters from the central-scalar sums (exact square roots; raises
-    NotRationalFamily if they are not rational squares), with an
-    eigenvalue-chain fallback when the trace route fails to validate.  Odd
-    dimension: a and b are the traces, c follows from kappa.  Every answer is
-    certified by an explicit invertible intertwiner before being returned;
+    Even dimension: the twist signs come from the generator traces, which
+    are +-n/2 (IdentificationFailed otherwise), and the parameters are the
+    exact square roots of the untwisted central-scalar sums
+    (NotRationalFamily if they are not rational squares).  Odd dimension: a
+    and b are the traces, c follows from kappa.  Every answer is certified by
+    one explicit invertible intertwiner before being returned;
     IdentificationFailed otherwise.
     """
     if not assume_irreducible:
@@ -538,57 +518,23 @@ def identify(v_mod: BIModule, *, assume_irreducible: bool = False) -> ClassCoord
         return ClassCoordinates("odd", d, None, (a, b, c))
 
     half = Fraction(n, 2)
-    shift = Fraction(n * n, 4)
     trace_sign = {-half: 1, half: -1}
-    sqrt_failed = False
-
-    def assemble(ea: int, eb: int, va, vb):
-        nonlocal sqrt_failed
-        # untwist the central scalars with the candidate signs
-        kappa = ea * eb * inv.kappa
-        lam = ea * inv.lam
-        mu = eb * inv.mu
-        a_val = _sqrt_exact(shift - (kappa + mu) / 2) if va is None else abs(va)
-        b_val = _sqrt_exact(shift - (lam + kappa) / 2) if vb is None else abs(vb)
-        c_val = _sqrt_exact(shift - (mu + lam) / 2)
-        if a_val is None or b_val is None or c_val is None:
-            sqrt_failed = True
-            return None
-        return ea, eb, a_val, b_val, c_val
-
-    def candidates() -> Iterator[tuple[int, int, Fraction, Fraction, Fraction]]:
-        eps = trace_sign.get(inv.trace_x)
-        epsp = trace_sign.get(inv.trace_y)
-        trace_route = eps is not None and epsp is not None
-        if trace_route:
-            got = assemble(eps, epsp, None, None)
-            if got:
-                yield got
-        # spectrum-chain pools, built only if the trace route did not settle it
-        pool_a = [(eps, None)] if eps is not None else []
-        pool_b = [(epsp, None)] if epsp is not None else []
-        pool_a += _chain_candidates(set(rational_spectrum(v_mod.X).roots), d)
-        pool_b += _chain_candidates(set(rational_spectrum(v_mod.Y).roots), d)
-        first = trace_route
-        for (ea, va), (eb, vb) in itertools.product(pool_a[:6], pool_b[:6]):
-            if first and va is None and vb is None:
-                first = False  # the pure trace pair was already tried above
-                continue
-            got = assemble(ea, eb, va, vb)
-            if got:
-                yield got
-
-    for ea, eb, a_val, b_val, c_val in candidates():
-        sign = TwistSign(ea, eb)
-        target = twist(even_module(d, a_val, b_val, c_val), sign)
-        ok, _ = are_isomorphic(v_mod, target)
-        if ok:
-            if not criterion_even(d, a_val, b_val, c_val):
-                raise IdentificationFailed("identified an even reducible point (library bug)")
-            return ClassCoordinates("even", d, sign, (a_val, b_val, c_val))
-    if sqrt_failed:
+    ea, eb = trace_sign.get(inv.trace_x), trace_sign.get(inv.trace_y)
+    if ea is None or eb is None:
+        raise IdentificationFailed("generator traces are not +-n/2; not an even-family module")
+    # untwist the central scalars with the trace signs
+    kappa, lam, mu = ea * eb * inv.kappa, ea * inv.lam, eb * inv.mu
+    shift = Fraction(n * n, 4)
+    params = tuple(_sqrt_exact(shift - s / 2) for s in (kappa + mu, lam + kappa, mu + lam))
+    if any(p is None for p in params):
         raise NotRationalFamily("central-scalar sums are not rational squares")
-    raise IdentificationFailed("no candidate coordinates could be certified")
+    sign = TwistSign(ea, eb)
+    ok, _ = are_isomorphic(v_mod, twist(even_module(d, *params), sign))
+    if not ok:
+        raise IdentificationFailed("no invertible intertwiner to the even family")
+    if not criterion_even(d, *params):
+        raise IdentificationFailed("identified an even reducible point (library bug)")
+    return ClassCoordinates("even", d, sign, params)
 
 
 # --- odd-family twist collapse ----------------------------------------------------

@@ -153,11 +153,13 @@ def _parse_twist_arg(s: str) -> TwistSign:
     return TwistSign(int(parts[0]), int(parts[1]))
 
 
+# family name -> (builder, closed-form criterion)
+_FAMILIES = {"even": (even_module, criterion_even), "odd": (odd_module, criterion_odd)}
+
+
 def _build_family_module(family: str, d: int, a, b, c) -> BIModule:
     try:
-        if family == "even":
-            return even_module(d, a, b, c)
-        return odd_module(d, a, b, c)
+        return _FAMILIES[family][0](d, a, b, c)
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
 
@@ -171,13 +173,10 @@ def _criterion_from_meta(meta: dict) -> bool | None:
     """Whether the criterion holds at a module file's meta coordinates, or
     None if they are absent/foreign."""
     try:
-        family = meta["family"]
-        d = int(meta["d"])
-        a, b, c = (Fraction(meta[k]) for k in ("a", "b", "c"))
+        criterion = _FAMILIES[meta["family"]][1]
+        return criterion(int(meta["d"]), *(Fraction(meta[k]) for k in ("a", "b", "c")))
     except (KeyError, ValueError, ZeroDivisionError, TypeError):
-        return None
-    criterion = {"even": criterion_even, "odd": criterion_odd}.get(family)
-    return None if criterion is None else criterion(d, a, b, c)
+        return None  # absent keys, foreign values, or d of the wrong parity
 
 
 # --- report fragments --------------------------------------------------------------
@@ -365,16 +364,15 @@ def cmd_scan(args) -> int:
     values = [_parse_rat_arg(tok, "--values") for tok in args.values.split(",") if tok]
     if not values:
         raise CliError(EXIT_INPUT, "--values must list at least one rational")
-    crit_fn = criterion_even if args.family == "even" else criterion_odd
-    build_fn = even_module if args.family == "even" else odd_module
+    criterion = _FAMILIES[args.family][1]
     disagreements = []
     indeterminate = []
     count = 0
     for a, b, c in itertools.product(values, repeat=3):
         count += 1
         point = [str(a), str(b), str(c)]
-        expected = crit_fn(args.d, a, b, c)
-        verdict = oracle_irreducible(build_fn(args.d, a, b, c))
+        verdict = oracle_irreducible(_build_family_module(args.family, args.d, a, b, c))
+        expected = criterion(args.d, a, b, c)
         if verdict.status == "indeterminate":
             indeterminate.append(point)
         elif verdict.is_irreducible != expected:

@@ -1,10 +1,12 @@
 """Exact dense linear algebra over the rationals.
 
 Everything in this module is deterministic and exact: entries are
-``fractions.Fraction``, pivoting is positional (first nonzero column, topmost
-row), and no floating point is ever involved.  Matrices are immutable; sizes
-stay small (a few dozen rows), so the naive cubic algorithms are the right
-tool.
+``fractions.Fraction`` and no floating point is ever involved.  One
+Gauss-Jordan engine, ``RrefAccumulator``, builds every reduced row echelon
+form (rref, rank, kernel, inverse, spin, Krylov annihilators); only
+``Matrix.det`` keeps its own forward elimination.  Matrices are immutable;
+sizes stay small (a few dozen rows), so the naive cubic algorithms are the
+right tool.
 """
 
 from __future__ import annotations
@@ -178,7 +180,7 @@ class Matrix:
         return c
 
     def rank(self) -> int:
-        return rref(self)[1]
+        return len(_row_reduce(self.rows, self.ncols))
 
     def det(self) -> Fraction:
         """Determinant by fraction-preserving Gaussian elimination."""
@@ -208,11 +210,10 @@ class Matrix:
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
         eye = Matrix.identity(n).rows
-        aug = Matrix._new(tuple(r + e for r, e in zip(self.rows, eye)))
-        red, rank = rref(aug)
-        if rank < n or any(red.rows[i][i] != _F1 for i in range(n)):
+        acc = _row_reduce((r + e for r, e in zip(self.rows, eye)), 2 * n)
+        if acc.pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix._new(tuple(r[n:] for r in red.rows))
+        return Matrix._new(tuple(tuple(r[n:]) for r in acc.rows))
 
 
 def anticommutator(a: Matrix, b: Matrix) -> Matrix:
@@ -220,64 +221,13 @@ def anticommutator(a: Matrix, b: Matrix) -> Matrix:
     return a * b + b * a
 
 
-def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list).
-
-    Pivot choice is positional: scan columns left to right, take the topmost
-    row with a nonzero entry.  No magnitude pivoting (arithmetic is exact).
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        if p != _F1:
-            rows[r] = [a / p for a in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank."""
-    rows, pivots = _rref_rows([list(r) for r in m.rows])
-    return Matrix._new(tuple(tuple(r) for r in rows)), len(pivots)
-
-
-def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
-    """Deterministic basis of the right kernel {v : m v = 0}.
-
-    One basis vector per free column, in ascending column order; the free
-    coordinate is set to 1 and pivot coordinates are back-substituted.
-    """
-    rows, pivots = _rref_rows([list(r) for r in m.rows])
-    ncols = m.ncols
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [_F0] * ncols
-        v[free] = _F1
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][free]
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
 class RrefAccumulator:
-    """Incrementally maintained rref basis of a growing span of row vectors."""
+    """Incrementally maintained rref basis of a growing span of row vectors.
+
+    Row operations skip the zero entries of the row being subtracted: the
+    family matrices are bidiagonal, and the identity blocks appended by
+    ``inverse`` and ``_vector_annihilator`` stay mostly zero.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
@@ -292,7 +242,7 @@ class RrefAccumulator:
         for row, c in zip(self.rows, self.pivots):
             if w[c]:
                 f = w[c]
-                w = [a - f * b for a, b in zip(w, row)]
+                w = [a - f * b if b else a for a, b in zip(w, row)]
         return w
 
     def add(self, v: Sequence[Fraction]) -> bool:
@@ -307,7 +257,7 @@ class RrefAccumulator:
         for row in self.rows:
             if row[c]:
                 f = row[c]
-                row[:] = [a - f * b for a, b in zip(row, w)]
+                row[:] = [a - f * b if b else a for a, b in zip(row, w)]
         at = next((k for k, pc in enumerate(self.pivots) if pc > c), len(self.pivots))
         self.rows.insert(at, w)
         self.pivots.insert(at, c)
@@ -318,6 +268,45 @@ class RrefAccumulator:
 
     def basis(self) -> tuple[Vector, ...]:
         return tuple(tuple(r) for r in self.rows)
+
+
+def _row_reduce(rows: Iterable[Sequence[Fraction]], ncols: int) -> RrefAccumulator:
+    """Accumulator holding the rref of the span of `rows`."""
+    acc = RrefAccumulator(ncols)
+    for r in rows:
+        if len(acc) == ncols:
+            break  # full rank: every later row reduces to zero
+        acc.add(r)
+    return acc
+
+
+def rref(m: Matrix) -> tuple[Matrix, int]:
+    """Reduced row echelon form (zero rows at the bottom) and rank."""
+    acc = _row_reduce(m.rows, m.ncols)
+    zero = (_F0,) * m.ncols
+    rows = acc.basis() + (zero,) * (m.nrows - len(acc))
+    return Matrix._new(rows), len(acc)
+
+
+def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
+    """Deterministic basis of the right kernel {v : m v = 0}.
+
+    One basis vector per free column, in ascending column order; the free
+    coordinate is set to 1 and pivot coordinates are back-substituted.
+    """
+    acc = _row_reduce(m.rows, m.ncols)
+    ncols = m.ncols
+    pivot_set = set(acc.pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [_F0] * ncols
+        v[free] = _F1
+        for row, c in zip(acc.rows, acc.pivots):
+            v[c] = -row[free]
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
 def spin(vectors: Sequence[Sequence[RatLike]], operators: Sequence[Matrix]) -> tuple[Vector, ...]:
@@ -601,22 +590,16 @@ def min_poly(m: Matrix) -> Poly:
 
 
 def _vector_annihilator(m: Matrix, v: Vector) -> Poly:
-    """Monic p of least degree with p(m) v = 0."""
-    krylov: list[Vector] = [v]
-    acc = RrefAccumulator(len(v))
-    acc.add(v)
-    w = v
+    """Monic p of least degree with p(m) v = 0.
+
+    Rows (m^k v | e_k) go into one accumulator; the first whose head reduces
+    to zero pivots in the tail, which then holds the coefficients of p.
+    """
+    n = len(v)
+    acc = RrefAccumulator(2 * n + 1)
+    w, k = v, 0
     while True:
-        w = m.matvec(w)
-        if not acc.add(w):
-            break
-        krylov.append(w)
-    # express w in terms of the krylov vectors: solve K^T alpha = w
-    k = len(krylov)
-    aug = Matrix.from_columns(krylov + [list(w)])
-    rows, pivots = _rref_rows([list(r) for r in aug.rows])
-    # krylov columns are independent, so pivots are exactly columns 0..k-1
-    alpha = [_F0] * k
-    for r, c in enumerate(pivots):
-        alpha[c] = rows[r][k]
-    return Poly(tuple(-a for a in alpha) + (_F1,))
+        acc.add(w + tuple(_F1 if j == k else _F0 for j in range(n + 1)))
+        if acc.pivots[-1] >= n:
+            return Poly(acc.rows[-1][n:]).monic()
+        w, k = m.matvec(w), k + 1

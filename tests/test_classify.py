@@ -16,7 +16,7 @@ from bannai_ito.bimodule import BIModule, TwistSign, even_module, example_even, 
     example_odd, odd_module, twist
 from bannai_ito.classify import ClassCoordinates, IdentificationFailed, \
     IndeterminateIsomorphism, NonSplitSpectrum, NotRationalFamily, \
-    _chain_candidates, _kernel_vector_intertwiner, a_flip_basis_matrices, \
+    _kernel_vector_intertwiner, a_flip_basis_matrices, \
     are_isomorphic, criterion_even, criterion_odd, criterion_verdict, identify, \
     intertwiner_space, invariants, \
     lowering_matrix, odd_twist_check, oracle_irreducible, orbit_canonical, \
@@ -345,30 +345,29 @@ def test_identify_rejects_reducible():
 
 
 def test_identify_not_rational_family():
-    # irreducible pair whose fabricated central scalars make the squared
-    # third parameter land outside the rational squares for every sign choice
+    # irreducible pair with the even-family traces (-1, -1) whose fabricated
+    # central scalars make the squared parameters irrational: n^2/4 - (kappa + mu)/2 = 1/2
+    x = Matrix([["-1/2", 0], [1, "-1/2"]])
+    y = Matrix([["-1/2", 1], [0, "-1/2"]])
+    mod = BIModule(x, y, kappa=F(0), lam=F(0), mu=F(1))
+    with pytest.raises(NotRationalFamily):
+        identify(mod)
+    # traces (0, 0) are not the +-n/2 of any even-family module: no square roots are taken
     x = Matrix([[0, 1], [1, 0]])
     y = Matrix([[1, 1], [0, -1]])
     mod = BIModule(x, y, kappa=F(0), lam=F(3), mu=F(1, 3))
-    with pytest.raises(NotRationalFamily):
-        identify(mod)
-
-
-def test_identify_failure_outside_family():
-    # square roots all exist here, but no candidate survives certification
-    x = Matrix([[0, 1], [1, 0]])
-    y = Matrix([[1, 1], [0, -1]])
-    mod = BIModule(x, y, kappa=F(0), lam=F(0), mu=F(0))
     with pytest.raises(IdentificationFailed):
         identify(mod)
 
 
-def test_chain_candidates_pin_sign_and_parameter():
-    spectrum = {F(-1, 2), F(3, 2), F(-5, 2)}  # X spectrum of the d=3, a=1 ladder
-    cands = _chain_candidates(spectrum, 3)
-    assert (1, F(-1)) in cands
-    flipped = {-s for s in spectrum}
-    assert (-1, F(-1)) in _chain_candidates(flipped, 3)
+def test_identify_failure_outside_family():
+    # traces (-1, -1) and square roots a = b = c = 1 all exist here, but X has a
+    # Jordan block, so no intertwiner to the even-family module E_1(1, 1, 1) exists
+    x = Matrix([["-1/2", 0], [1, "-1/2"]])
+    y = Matrix([["-1/2", 1], [0, "-1/2"]])
+    mod = BIModule(x, y, kappa=F(0), lam=F(0), mu=F(0))
+    with pytest.raises(IdentificationFailed, match="no invertible intertwiner"):
+        identify(mod)
 
 
 def test_orbit_canonical():

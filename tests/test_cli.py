@@ -190,6 +190,21 @@ def test_classify_reducible_embeds_witness(capsys, tmp_path):
     assert "class" not in doc
 
 
+def test_classify_ignores_wrong_parity_meta(capsys, tmp_path):
+    # meta with an even-family d of the wrong parity is foreign: no criterion row
+    doc = json.loads(serialize_module(example_even(), {"family": "even", "d": "2",
+                                                       "a": "1", "b": "0", "c": "1"}))
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "classify", str(path), "--no-timing")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["oracle"]["status"] == "irreducible"
+    assert doc["class"] == {"family": "even", "d": 3, "twist": "1,1",
+                            "params": ["1", "0", "1"]}
+    assert "criterion" not in doc
+
+
 def test_classify_indeterminate_exit_code(capsys, tmp_path):
     # two copies of the trivial module: relations hold, but no nullity-1
     # element exists within the word budget
@@ -327,6 +342,12 @@ def test_scan_odd_family(capsys):
                            "--values=0,-1/2,1", "--no-timing")
     assert code == 0
     assert json.loads(out)["disagreements"] == []
+
+
+def test_scan_rejects_bad_parity(capsys):
+    code, _, err = run_cli(capsys, "scan", "--family", "even", "--d", "2", "--values=0")
+    assert code == 2
+    assert "odd d" in err
 
 
 # --- golden pipe -----------------------------------------------------------------------

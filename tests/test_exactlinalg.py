@@ -2,7 +2,9 @@
 
 The characteristic polynomial has an independent oracle here (recursive
 cofactor expansion over polynomial entries) so the library's
-Faddeev-LeVerrier path is cross-checked rather than self-certified.
+Faddeev-LeVerrier path is cross-checked rather than self-certified.  Row
+reduction has one too: a textbook column-by-column Gauss-Jordan, against
+which the library's incremental rref engine is compared.
 """
 
 from fractions import Fraction
@@ -52,6 +54,50 @@ def char_poly_cofactor(m):
     return poly_det(ent)
 
 
+def gauss_jordan(rows):
+    """Textbook Gauss-Jordan: (rref rows, pivot columns).  For each column in
+    turn, swap the topmost usable nonzero row up, scale it to 1 and clear the
+    column in every other row."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [a / rows[r][c] for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def kernel_oracle(m):
+    rows, pivots = gauss_jordan(m.rows)
+    basis = []
+    for free in (j for j in range(m.ncols) if j not in pivots):
+        v = [F(0)] * m.ncols
+        v[free] = F(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][free]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def min_poly_oracle(m):
+    """First linear dependence among I, m, m^2, ... as a monic polynomial."""
+    powers = [Matrix.identity(m.nrows)]
+    while True:
+        powers.append(powers[-1] * m)
+        flat = [[x for row in p.rows for x in row] for p in powers]
+        rows, pivots = gauss_jordan([list(col) for col in zip(*flat)])
+        k = len(powers) - 1
+        if k not in pivots:  # m^k depends on the lower powers, which pivot at 0..k-1
+            return Poly(tuple(-rows[j][k] for j in range(k)) + (1,))
+
+
 # --- strategies ---------------------------------------------------------------
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -63,6 +109,22 @@ def square_matrices(max_n=4):
             st.lists(rationals, min_size=n, max_size=n),
             min_size=n, max_size=n,
         ).map(Matrix))
+
+
+def product_matrices(max_n=5, square=False):
+    """Tall, wide and square r x c matrices (r = c if `square`), built as a
+    product of r x k and k x c factors so that rank deficiency (k < min(r, c))
+    is common."""
+    def product(r, c, k):
+        return st.tuples(
+            st.lists(st.lists(rationals, min_size=k, max_size=k), min_size=r, max_size=r),
+            st.lists(st.lists(rationals, min_size=c, max_size=c), min_size=k, max_size=k),
+        ).map(lambda bc: Matrix(bc[0]) * Matrix(bc[1]))
+    size = st.integers(min_value=1, max_value=max_n)
+    shapes = st.tuples(size, size, size)
+    if square:
+        shapes = shapes.map(lambda rck: (rck[0], rck[0], rck[2]))
+    return shapes.flatmap(lambda rck: product(*rck))
 
 
 # fixed 4x4 examples: the upper-bidiagonal and lower-bidiagonal shapes the
@@ -273,6 +335,31 @@ def test_rref_idempotent_and_det(m):
     # det cross-check against the characteristic polynomial constant term
     sign = 1 if m.nrows % 2 == 0 else -1
     assert m.det() == sign * char_poly(m)(0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_matrices())
+def test_rref_and_kernel_match_gauss_jordan(m):
+    rows, pivots = gauss_jordan(m.rows)
+    assert rref(m) == (Matrix(rows), len(pivots))
+    assert m.rank() == len(pivots)
+    assert kernel_basis(m) == kernel_oracle(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_matrices(4, square=True))
+def test_inverse_or_singular(m):
+    if m.det():
+        assert m * m.inverse() == Matrix.identity(m.nrows)
+    else:
+        with pytest.raises(ValueError):
+            m.inverse()
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_matrices(4))
+def test_min_poly_matches_first_power_dependence(m):
+    assert min_poly(m) == min_poly_oracle(m)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,7 +1,10 @@
-"""Repository hygiene: the runtime imports only the standard library, and no
-file that .gitignore excludes is tracked."""
+"""Repository hygiene: the runtime imports only the standard library, no
+file that .gitignore excludes is tracked, and every library name the benchmark
+traces still resolves."""
 
 import ast
+import importlib
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -34,3 +37,23 @@ def test_no_ignored_file_is_tracked():
     listed = subprocess.run(["git", "ls-files", "-ci", "--exclude-standard"], cwd=ROOT,
                             capture_output=True, text=True, check=True).stdout
     assert listed.splitlines() == []
+
+
+def test_benchmark_trace_targets_resolve():
+    spans_path = ROOT / "perfbench" / "spans.py"
+    if not spans_path.exists():
+        pytest.skip("no perfbench/ in this checkout")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for _, _, home, attr in spans.TARGETS:
+        module = importlib.import_module(f"bannai_ito.{home}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            found = meth in vars(getattr(module, cls_name, object))
+        else:
+            found = hasattr(module, attr)
+        if not found:
+            missing.append(f"{home}.{attr}")
+    assert missing == []
