@@ -20,6 +20,7 @@ from .exactlinalg import Matrix, Poly, RatLike, anticommutator, \
     is_squarefree, min_poly, rat, rational_roots
 
 _F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 class NotAModule(Exception):
@@ -81,6 +82,17 @@ class SequenceTable:
         s = (2 * self.b - 2 * self.a - self.delta + 2 * i - 1) / 2
         return self.c ** 2 - s ** 2
 
+    def ladder(self, n: int) -> tuple[Matrix, Matrix]:
+        """X and Y on the first n ladder vectors: X v_i = theta_i v_i + v_{i+1}
+        (v_n dropped) and Y v_i = theta*_i v_i + phi_i v_{i-1}."""
+        x = [[_F0] * n for _ in range(n)]
+        y = [[_F0] * n for _ in range(n)]
+        for i in range(n):
+            x[i][i], y[i][i] = self.theta(i), self.theta_star(i)
+            if i:
+                x[i][i - 1], y[i - 1][i] = _F1, self.phi_upper(i)
+        return Matrix(x), Matrix(y)
+
     def central_scalars(self) -> tuple[Fraction, Fraction, Fraction]:
         """(kappa, lambda, mu) acting on the ladder module."""
         if self.family == "odd":
@@ -120,11 +132,7 @@ class FamilyParams:
         (v_{d+1} = 0), Y v_i = theta*_i v_i + phi_i v_{i-1}, and kappa,
         lambda, mu act by the three central scalars of the sequence table."""
         t = self.table()
-        n = self.d + 1
-        x = _lower_bidiagonal([t.theta(i) for i in range(n)])
-        y = _upper_bidiagonal([t.theta_star(i) for i in range(n)],
-                              [t.phi_upper(i) for i in range(1, n)])
-        return BIModule(x, y, *t.central_scalars())
+        return BIModule(*t.ladder(self.d + 1), *t.central_scalars())
 
 
 class EvenParams(FamilyParams):
@@ -151,10 +159,6 @@ class TwistSign:
 
     def __mul__(self, other: "TwistSign") -> "TwistSign":
         return TwistSign(self.eps * other.eps, self.eps_prime * other.eps_prime)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.eps == 1 and self.eps_prime == 1
 
 
 ALL_TWISTS = (TwistSign(1, 1), TwistSign(1, -1), TwistSign(-1, 1), TwistSign(-1, -1))
@@ -217,18 +221,6 @@ def even_module(d: int, a: RatLike, b: RatLike, c: RatLike) -> BIModule:
 def odd_module(d: int, a: RatLike, b: RatLike, c: RatLike) -> BIModule:
     """The (d+1)-dimensional module of the odd-dimensional family, d even."""
     return OddParams(d, rat(a), rat(b), rat(c)).module()
-
-
-def _lower_bidiagonal(diag: list[Fraction]) -> Matrix:
-    n = len(diag)
-    return Matrix([[diag[i] if j == i else (Fraction(1) if j == i - 1 else _F0)
-                    for j in range(n)] for i in range(n)])
-
-
-def _upper_bidiagonal(diag: list[Fraction], sup: list[Fraction]) -> Matrix:
-    n = len(diag)
-    return Matrix([[diag[i] if j == i else (sup[i] if j == i + 1 else _F0)
-                    for j in range(n)] for i in range(n)])
 
 
 def twist(v: BIModule, sign: TwistSign) -> BIModule:

@@ -29,7 +29,7 @@ from typing import Iterator, NamedTuple
 from .bimodule import BIModule, CertificateError, EvenParams, OddParams, \
     TwistSign, central_scalars, even_module, odd_module, twist
 from .exactlinalg import Matrix, RatLike, RrefAccumulator, Vector, \
-    kernel_basis, rat, rational_spectrum, spin
+    kernel_basis, rat, rational_spectrum, shifted_walk, spin
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -148,6 +148,9 @@ def _shift(q: Fraction) -> str:
     return f"({q})" if q < 0 else str(q)
 
 
+_MAX_WORD_LENGTH = 3  # longest product of shifted generators the word search tries
+
+
 def _word_candidates(x: Matrix, y: Matrix, eigs_x, eigs_y,
                      max_len: int) -> Iterator[tuple[Matrix, str]]:
     """Deterministic stream of small algebra elements to probe for nullity 1."""
@@ -168,7 +171,7 @@ def _word_candidates(x: Matrix, y: Matrix, eigs_x, eigs_y,
             yield m, "*".join(lab for _, lab in combo)
 
 
-def oracle_irreducible(v_mod: BIModule, *, max_word_length: int = 3) -> IrrVerdict:
+def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
     """Decide irreducibility from the matrices alone.
 
     Uses the first rational eigenvalue of Y with a 1-dimensional eigenspace as
@@ -194,7 +197,7 @@ def oracle_irreducible(v_mod: BIModule, *, max_word_length: int = 3) -> IrrVerdi
     if not roots_x.split:
         raise NonSplitSpectrum("spectrum of X is not rational (word search)")
     for nmat, label in _word_candidates(x, y, sorted(set(roots_x.roots)),
-                                        sorted(set(roots_y.roots)), max_word_length):
+                                        sorted(set(roots_y.roots)), _MAX_WORD_LENGTH):
         if n - nmat.rank() == 1:
             return _norton(v_mod, nmat, label)
     return IrrVerdict("indeterminate", None, "oracle",
@@ -266,15 +269,9 @@ def _lowering_operator(p: EvenParams, t, d: int) -> Matrix:
     # the full lowering product maps everything into the bottom ladder line
     if any(r[i, j] for i in range(1, d + 1) for j in range(d + 1)):
         raise CertificateError("lowering product escaped the lowest ladder line")
-    rows = [None] * (d + 1)
-    row = r.row(0)
-    rows[d] = row
-    for i in range(d, 0, -1):
-        xf = e.X - t.theta(i) * eye
-        row = tuple(sum((row[k] * xf[k, j] for k in range(d + 1) if row[k]), _F0)
-                    for j in range(d + 1))
-        rows[i - 1] = row
-    return Matrix(rows)
+    # row i is r_0 (X - theta_d) ... (X - theta_{i+1}), a walk under X^T
+    walk = shifted_walk(e.X.T, r.row(0), [t.theta(i) for i in range(d, 0, -1)])
+    return Matrix(walk[::-1])
 
 
 # --- basis change exhibiting the a-sign flip ------------------------------------
@@ -296,14 +293,8 @@ def a_flip_basis_matrices(d: int, a: RatLike, b: RatLike, c: RatLike) -> FlipBas
     p = EvenParams(d, rat(a), rat(b), rat(c))
     t = p.table()
     e = p.module()
-    n = d + 1
-    cur = tuple(_F1 if k == 0 else _F0 for k in range(n))
-    cols = [cur]
-    for h in range(d):
-        th = t.theta(d - h)
-        cur = tuple(pp - th * qq for pp, qq in zip(e.X.matvec(cur), cur))
-        cols.append(cur)
-    basis = Matrix.from_columns(cols)
+    v0 = tuple(_F1 if k == 0 else _F0 for k in range(d + 1))
+    basis = Matrix.from_columns(shifted_walk(e.X, v0, [t.theta(d - h) for h in range(d)]))
     inv = basis.inverse()
     xw = inv * e.X * basis
     yw = inv * e.Y * basis
@@ -431,26 +422,14 @@ def are_isomorphic(v_mod: BIModule, w_mod: BIModule) -> tuple[bool, Matrix | Non
 
 @dataclass(frozen=True)
 class InvariantData:
-    """Cheap isomorphism invariants: generator traces, central scalars and
-    their pairwise sums (the sums determine the squared parameters)."""
+    """Cheap isomorphism invariants: the generator traces and the three
+    central scalars."""
 
     trace_x: Fraction
     trace_y: Fraction
     kappa: Fraction
     lam: Fraction
     mu: Fraction
-
-    @property
-    def kappa_plus_mu(self) -> Fraction:
-        return self.kappa + self.mu
-
-    @property
-    def lam_plus_kappa(self) -> Fraction:
-        return self.lam + self.kappa
-
-    @property
-    def mu_plus_lam(self) -> Fraction:
-        return self.mu + self.lam
 
 
 def invariants(v_mod: BIModule) -> InvariantData:

@@ -59,7 +59,11 @@ def _matrix_to_lists(m: Matrix) -> list[list[str]]:
 def _matrix_from_lists(rows, what: str) -> Matrix:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise CliError(EXIT_INPUT, f"{what} must be a nonempty list of rows")
-    return Matrix([[_str_to_rat(e) for e in row] for row in rows])
+    entries = [[_str_to_rat(e) for e in row] for row in rows]
+    try:
+        return Matrix(entries)
+    except ValueError as exc:  # ragged or empty rows
+        raise CliError(EXIT_INPUT, f"{what}: {exc}") from exc
 
 
 def serialize_module(mod: BIModule, meta: dict | None = None) -> str:
@@ -244,9 +248,7 @@ def cmd_build(args) -> int:
     b = _parse_rat_arg(args.b, "--b")
     c = _parse_rat_arg(args.c, "--c")
     sign = _parse_twist_arg(args.twist)
-    mod = _build_family_module(args.family, args.d, a, b, c)
-    if not sign.is_identity:
-        mod = twist(mod, sign)
+    mod = twist(_build_family_module(args.family, args.d, a, b, c), sign)
     _note(args, f"kappa={mod.kappa} lambda={mod.lam} mu={mod.mu}")
     _write_output(serialize_module(mod, _family_meta(args.family, args.d, a, b, c, sign)), args)
     return EXIT_OK

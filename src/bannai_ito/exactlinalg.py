@@ -35,10 +35,6 @@ def vec(entries: Iterable[RatLike]) -> Vector:
     return tuple(rat(x) for x in entries)
 
 
-def is_zero_vec(u: Sequence[Fraction]) -> bool:
-    return not any(u)
-
-
 class Matrix:
     """Immutable dense matrix over Fraction, stored row-major."""
 
@@ -219,6 +215,16 @@ class Matrix:
 def anticommutator(a: Matrix, b: Matrix) -> Matrix:
     """{a, b} = a*b + b*a."""
     return a * b + b * a
+
+
+def shifted_walk(m: Matrix, v: Sequence[Fraction],
+                 shifts: Iterable[Fraction]) -> tuple[Vector, ...]:
+    """(v, (m - s_0) v, (m - s_1)(m - s_0) v, ...): one more vector per shift."""
+    walk = [tuple(v)]
+    for s in shifts:
+        w = walk[-1]
+        walk.append(tuple(p - s * q for p, q in zip(m.matvec(w), w)))
+    return tuple(walk)
 
 
 class RrefAccumulator:

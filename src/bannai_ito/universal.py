@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bimodule import BIModule, CertificateError, EvenParams, SequenceTable, \
-    _lower_bidiagonal, _upper_bidiagonal, check_relations, derive_Z, relation_residuals
-from .exactlinalg import Matrix, RatLike, Vector, is_zero_vec, rat, vec
+    check_relations, derive_Z, relation_residuals
+from .exactlinalg import Matrix, RatLike, Vector, rat, shifted_walk, vec
 
 PREMISES = ("highest_weight", "second_order", "kappa", "lambda", "mu")
 
@@ -66,11 +66,7 @@ def truncated_verma(delta: RatLike, a: RatLike, b: RatLike, c: RatLike,
     if n < 3:
         raise ValueError("need n >= 3 for a nonempty interior")
     t = SequenceTable(rat(delta), rat(a), rat(b), rat(c))
-    x = _lower_bidiagonal([t.theta(i) for i in range(n)])
-    y = _upper_bidiagonal([t.theta_star(i) for i in range(n)],
-                          [t.phi_upper(i) for i in range(1, n)])
-    kappa, lam, mu = t.central_scalars()
-    return TruncatedVerma(t, n, x, y, kappa, lam, mu)
+    return TruncatedVerma(t, n, *t.ladder(n), *t.central_scalars())
 
 
 @dataclass(frozen=True)
@@ -93,8 +89,8 @@ def interior_relation_check(tv: TruncatedVerma) -> VermaRelationReport:
     lam_mat, mu_mat = relation_residuals(tv.X, tv.Y, derive_Z(tv.X, tv.Y, tv.kappa))
     lam_res, mu_res = lam_mat - tv.lam * eye, mu_mat - tv.mu * eye
     return VermaRelationReport(
-        tuple(is_zero_vec(lam_res.column(j)) for j in range(tv.n)),
-        tuple(is_zero_vec(mu_res.column(j)) for j in range(tv.n)),
+        tuple(not any(lam_res.column(j)) for j in range(tv.n)),
+        tuple(not any(mu_res.column(j)) for j in range(tv.n)),
         tv.interior,
     )
 
@@ -108,10 +104,8 @@ def ladder_vector(tv: TruncatedVerma, i: int, j: int) -> Vector:
     """
     if not (0 <= i <= j <= tv.n - 2):
         raise ValueError(f"need 0 <= i <= j <= n-2, got i={i}, j={j}, n={tv.n}")
-    v = tuple(Fraction(1) if k == i else Fraction(0) for k in range(tv.n))
-    for h in range(i, j + 1):
-        th = tv.table.theta(h)
-        v = tuple(x - th * y for x, y in zip(tv.X.matvec(v), v))
+    m_i = tuple(Fraction(1) if k == i else Fraction(0) for k in range(tv.n))
+    v = shifted_walk(tv.X, m_i, [tv.table.theta(h) for h in range(i, j + 1)])[-1]
     expected = tuple(Fraction(1) if k == j + 1 else Fraction(0) for k in range(tv.n))
     if v != expected:
         raise CertificateError("ladder identity broke inside the valid window")
@@ -120,7 +114,7 @@ def ladder_vector(tv: TruncatedVerma, i: int, j: int) -> Vector:
 
 def _check_premises(t: SequenceTable, v_mod: BIModule, v: Vector) -> None:
     x, y = v_mod.X, v_mod.Y
-    if is_zero_vec(v):
+    if not any(v):
         raise PremiseViolated("highest_weight", "seed vector is zero")
     lhs = y.matvec(v)
     th0 = t.theta_star(0)
@@ -151,12 +145,7 @@ def universal_map(delta: RatLike, a: RatLike, b: RatLike, c: RatLike,
     t = SequenceTable(rat(delta), rat(a), rat(b), rat(c))
     v = vec(v)
     _check_premises(t, v_mod, v)
-    images = [v]
-    for i in range(count - 1):
-        th = t.theta(i)
-        v = tuple(p - th * q for p, q in zip(v_mod.X.matvec(v), v))
-        images.append(v)
-    return tuple(images)
+    return shifted_walk(v_mod.X, v, [t.theta(i) for i in range(count - 1)])
 
 
 def descend_to_even(params: EvenParams, v_mod: BIModule, v) -> Matrix:
@@ -169,7 +158,7 @@ def descend_to_even(params: EvenParams, v_mod: BIModule, v) -> Matrix:
     """
     d = params.d
     images = universal_map(d, params.a, params.b, params.c, v_mod, v, d + 2)
-    if not is_zero_vec(images[d + 1]):
+    if any(images[d + 1]):
         raise AnnihilatorFails(
             f"prod (X - theta_i) v = {images[d + 1]}, expected zero")
     t = Matrix.from_columns(images[:d + 1])

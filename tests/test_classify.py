@@ -301,7 +301,6 @@ def test_invariants_of_examples():
     inv = invariants(example_even())
     assert (inv.trace_x, inv.trace_y) == (F(-2), F(-2))
     assert (inv.kappa, inv.lam, inv.mu) == (F(4), F(4), F(2))
-    assert (inv.kappa_plus_mu, inv.lam_plus_kappa, inv.mu_plus_lam) == (F(6), F(8), F(6))
     inv_o = invariants(example_odd())
     assert (inv_o.trace_x, inv_o.trace_y) == (F(3, 2), F(1, 2))
     assert (inv_o.kappa, inv_o.lam, inv_o.mu) == (F(4), F(-8), F(-4))

@@ -160,6 +160,16 @@ def test_check_reads_stdin(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("x", [[["1", "0"], ["0"]], [[]]], ids=["ragged", "empty"])
+@pytest.mark.parametrize("command", ["check", "classify", "minpoly"])
+def test_malformed_rows_exit_2(capsys, tmp_path, command, x):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 2, "X": x, "Y": [["0", "0"], ["0", "0"]],
+                                "kappa": "0"}))
+    code, _, err = run_cli(capsys, command, str(path), "--no-timing")
+    assert code == 2 and err.startswith("error:")
+
+
 # --- classify / identify -------------------------------------------------------------
 
 def test_classify_fixture(capsys, tmp_path):

@@ -23,6 +23,7 @@ from bannai_ito.exactlinalg import (
     min_poly,
     rational_roots,
     rref,
+    shifted_walk,
     spin,
     vec,
 )
@@ -360,6 +361,18 @@ def test_inverse_or_singular(m):
 @given(square_matrices(4))
 def test_min_poly_matches_first_power_dependence(m):
     assert min_poly(m) == min_poly_oracle(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_matrices(4).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(rationals, min_size=m.nrows, max_size=m.nrows),
+    st.lists(rationals, max_size=4))))
+def test_shifted_walk_matches_polynomial_at_matrix(case):
+    m, v, shifts = case
+    walk = shifted_walk(m, v, shifts)
+    assert len(walk) == len(shifts) + 1
+    for k, w in enumerate(walk):
+        assert w == Poly.from_roots(shifts[:k]).at_matrix(m).matvec(v)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,6 +1,6 @@
-"""Repository hygiene: the runtime imports only the standard library, no
-file that .gitignore excludes is tracked, and every library name the benchmark
-traces still resolves."""
+"""Repository hygiene: the runtime imports only the standard library and no
+layer imports another's private names, no file that .gitignore excludes is
+tracked, and every library name the benchmark traces still resolves."""
 
 import ast
 import importlib
@@ -20,9 +20,13 @@ def test_runtime_imports_are_stdlib_or_relative():
     foreign = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                foreign += [f"{path.name}: private {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+                continue
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            elif isinstance(node, ast.ImportFrom):
                 names = [node.module]
             else:
                 continue
