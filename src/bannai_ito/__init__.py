@@ -29,6 +29,7 @@ from .bimodule import (
     OddParams,
     TwistSign,
     central_scalars,
+    certify_intertwiner,
     check_relations,
     derive_Z,
     diagonalizability,
@@ -116,6 +117,7 @@ __all__ = [
     "anticommutator",
     "are_isomorphic",
     "central_scalars",
+    "certify_intertwiner",
     "char_poly",
     "check_relations",
     "criterion_even",

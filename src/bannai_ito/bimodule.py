@@ -213,6 +213,14 @@ def derive_Z(x: Matrix, y: Matrix, kappa: RatLike) -> Matrix:
     return anticommutator(x, y) - rat(kappa) * Matrix.identity(x.nrows)
 
 
+def certify_intertwiner(t: Matrix, v: BIModule, w: BIModule, what: str) -> Matrix:
+    """Return t after checking T X_V = X_W T and T Y_V = Y_W T (a module map
+    V -> W); CertificateError naming `what` if either equation fails."""
+    if t * v.X != w.X * t or t * v.Y != w.Y * t:
+        raise CertificateError(f"{what} fails to intertwine (library bug)")
+    return t
+
+
 def even_module(d: int, a: RatLike, b: RatLike, c: RatLike) -> BIModule:
     """The (d+1)-dimensional module of the even-dimensional family, d odd."""
     return EvenParams(d, rat(a), rat(b), rat(c)).module()

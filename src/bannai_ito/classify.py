@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .bimodule import BIModule, CertificateError, EvenParams, OddParams, \
-    TwistSign, central_scalars, even_module, odd_module, twist
+    TwistSign, central_scalars, certify_intertwiner, even_module, odd_module, twist
 from .exactlinalg import Matrix, RatLike, RrefAccumulator, Vector, \
     kernel_basis, rat, rational_spectrum, shifted_walk, spin
 
@@ -151,11 +151,17 @@ def _shift(q: Fraction) -> str:
 _MAX_WORD_LENGTH = 3  # longest product of shifted generators the word search tries
 
 
-def _word_candidates(x: Matrix, y: Matrix, eigs_x, eigs_y,
-                     max_len: int) -> Iterator[tuple[Matrix, str]]:
-    """Deterministic stream of small algebra elements to probe for nullity 1."""
+def _candidates(x: Matrix, y: Matrix, eigs_y) -> Iterator[tuple[Matrix, str]]:
+    """Deterministic stream of small algebra elements to probe for nullity 1:
+    the shifts Y - theta, then (once those are spent) words in shifted X and Y."""
     eye = Matrix.identity(x.nrows)
-    x_factors = [(x - th * eye, f"(X - {_shift(th)})") for th in eigs_x]
+    for th in eigs_y:
+        yield y - th * eye, f"Y - {_shift(th)}"
+    # every eigenspace of Y is >= 2-dimensional: hunt for a nullity-1 word
+    roots_x = rational_spectrum(x)
+    if not roots_x.split:
+        raise NonSplitSpectrum("spectrum of X is not rational (word search)")
+    x_factors = [(x - th * eye, f"(X - {_shift(th)})") for th in sorted(set(roots_x.roots))]
     y_factors = [(y - th * eye, f"(Y - {_shift(th)})") for th in eigs_y]
     yield from x_factors
     for ym, ylab in y_factors:
@@ -163,7 +169,7 @@ def _word_candidates(x: Matrix, y: Matrix, eigs_x, eigs_y,
             for t in (1, -1, 2, -2):
                 yield ym + t * xm, f"{ylab} + {t}*{xlab}"
     alphabet = x_factors + y_factors
-    for length in range(2, max_len + 1):
+    for length in range(2, _MAX_WORD_LENGTH + 1):
         for combo in itertools.product(alphabet, repeat=length):
             m = combo[0][0]
             for f, _ in combo[1:]:
@@ -183,21 +189,10 @@ def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
     n = v_mod.dim
     if n == 1:
         return IrrVerdict("irreducible", None, "oracle", "dimension 1")
-    x, y = v_mod.X, v_mod.Y
-    eye = Matrix.identity(n)
-    roots_y = rational_spectrum(y)
+    roots_y = rational_spectrum(v_mod.Y)
     if not roots_y.split:
         raise NonSplitSpectrum("spectrum of Y is not rational")
-    for lam in sorted(set(roots_y.roots)):
-        nmat = y - lam * eye
-        if len(kernel_basis(nmat)) == 1:
-            return _norton(v_mod, nmat, f"Y - {_shift(lam)}")
-    # every eigenspace of Y is >= 2-dimensional: hunt for a nullity-1 word
-    roots_x = rational_spectrum(x)
-    if not roots_x.split:
-        raise NonSplitSpectrum("spectrum of X is not rational (word search)")
-    for nmat, label in _word_candidates(x, y, sorted(set(roots_x.roots)),
-                                        sorted(set(roots_y.roots)), _MAX_WORD_LENGTH):
+    for nmat, label in _candidates(v_mod.X, v_mod.Y, sorted(set(roots_y.roots))):
         if n - nmat.rank() == 1:
             return _norton(v_mod, nmat, label)
     return IrrVerdict("indeterminate", None, "oracle",
@@ -295,13 +290,11 @@ def a_flip_basis_matrices(d: int, a: RatLike, b: RatLike, c: RatLike) -> FlipBas
     e = p.module()
     v0 = tuple(_F1 if k == 0 else _F0 for k in range(d + 1))
     basis = Matrix.from_columns(shifted_walk(e.X, v0, [t.theta(d - h) for h in range(d)]))
-    inv = basis.inverse()
-    xw = inv * e.X * basis
-    yw = inv * e.Y * basis
+    if basis.rank() != d + 1:
+        raise CertificateError("reversed-ladder basis is singular (library bug)")
     flipped = even_module(d, -p.a, p.b, p.c)
-    if xw != flipped.X or yw != flipped.Y:
-        raise CertificateError("reversed-ladder form is off (library bug)")
-    return FlipBasis(xw, yw, basis)
+    certify_intertwiner(basis, flipped, e, "reversed-ladder basis")
+    return FlipBasis(flipped.X, flipped.Y, basis)
 
 
 # --- intertwiners and isomorphism -----------------------------------------------
@@ -327,16 +320,6 @@ def intertwiner_space(v_mod: BIModule, w_mod: BIModule) -> tuple[Matrix, ...]:
                 rows.append(row)
     kernel = kernel_basis(Matrix(rows))
     return tuple(Matrix([k[r * n:(r + 1) * n] for r in range(m)]) for k in kernel)
-
-
-def _is_intertwiner(t: Matrix, v_mod: BIModule, w_mod: BIModule) -> bool:
-    return t * v_mod.X == w_mod.X * t and t * v_mod.Y == w_mod.Y * t
-
-
-def _certified(t: Matrix, v_mod: BIModule, w_mod: BIModule) -> Matrix:
-    if not _is_intertwiner(t, v_mod, w_mod):
-        raise CertificateError("intertwiner-space element fails to intertwine")
-    return t
 
 
 def _direct_sum(a: Matrix, b: Matrix) -> Matrix:
@@ -373,10 +356,9 @@ def _kernel_vector_intertwiner(v_mod: BIModule, w_mod: BIModule):
             return None  # seed generates a proper submodule; go the slow way
         if len(graph) > n:
             return (False, None)
-        t = Matrix.from_columns([row[n:] for row in graph])
-        if _is_intertwiner(t, v_mod, w_mod) and t.rank() == n:
-            return (True, t)
-        return (False, None)
+        t = certify_intertwiner(Matrix.from_columns([row[n:] for row in graph]),
+                                v_mod, w_mod, "kernel-line spin graph")
+        return (True, t) if t.rank() == n else (False, None)
     return None
 
 
@@ -400,19 +382,15 @@ def are_isomorphic(v_mod: BIModule, w_mod: BIModule) -> tuple[bool, Matrix | Non
     space = intertwiner_space(v_mod, w_mod)
     if not space:
         return (False, None)
-    n = v_mod.dim
-    for t in space:
-        if t.rank() == n:
-            return (True, _certified(t, v_mod, w_mod))
-    k = min(len(space), 3)
-    for coeffs in itertools.product((0, 1, -1, 2, -2), repeat=k):
-        if sum(1 for cf in coeffs if cf) < 2:
-            continue  # singles already tried
-        t = space[0] * coeffs[0]
-        for cf, basis_el in zip(coeffs[1:], space[1:]):
-            t = t + basis_el * cf
-        if t.rank() == n:
-            return (True, _certified(t, v_mod, w_mod))
+    # the basis elements, then combinations of the first three with at least
+    # two nonzero coefficients in (0, +-1, +-2)
+    grid = (cs for cs in itertools.product((0, 1, -1, 2, -2), repeat=min(len(space), 3))
+            if sum(1 for cf in cs if cf) >= 2)
+    combos = (sum((el * cf for cf, el in zip(cs[1:], space[1:])), space[0] * cs[0])
+              for cs in grid)
+    for t in itertools.chain(space, combos):
+        if t.rank() == v_mod.dim:
+            return (True, certify_intertwiner(t, v_mod, w_mod, "intertwiner-space element"))
     raise IndeterminateIsomorphism(
         "nonzero intertwiner space but no invertible element found; "
         "both modules are reducible")
@@ -488,32 +466,28 @@ def identify(v_mod: BIModule, *, assume_irreducible: bool = False) -> ClassCoord
     d = n - 1
     if n % 2 == 1:
         a, b = inv.trace_x, inv.trace_y
-        c = (2 * a * b - inv.kappa) / n
-        ok, _ = are_isomorphic(v_mod, odd_module(d, a, b, c))
-        if not ok:
-            raise IdentificationFailed("no invertible intertwiner to the odd family")
-        if not criterion_odd(d, a, b, c):
-            raise IdentificationFailed("identified an odd reducible point (library bug)")
-        return ClassCoordinates("odd", d, None, (a, b, c))
-
-    half = Fraction(n, 2)
-    trace_sign = {-half: 1, half: -1}
-    ea, eb = trace_sign.get(inv.trace_x), trace_sign.get(inv.trace_y)
-    if ea is None or eb is None:
-        raise IdentificationFailed("generator traces are not +-n/2; not an even-family module")
-    # untwist the central scalars with the trace signs
-    kappa, lam, mu = ea * eb * inv.kappa, ea * inv.lam, eb * inv.mu
-    shift = Fraction(n * n, 4)
-    params = tuple(_sqrt_exact(shift - s / 2) for s in (kappa + mu, lam + kappa, mu + lam))
-    if any(p is None for p in params):
-        raise NotRationalFamily("central-scalar sums are not rational squares")
-    sign = TwistSign(ea, eb)
-    ok, _ = are_isomorphic(v_mod, twist(even_module(d, *params), sign))
+        family, sign, params = "odd", None, (a, b, (2 * a * b - inv.kappa) / n)
+        target, criterion = odd_module(d, *params), criterion_odd
+    else:
+        half = Fraction(n, 2)
+        trace_sign = {-half: 1, half: -1}
+        ea, eb = trace_sign.get(inv.trace_x), trace_sign.get(inv.trace_y)
+        if ea is None or eb is None:
+            raise IdentificationFailed("generator traces are not +-n/2; not an even-family module")
+        # untwist the central scalars with the trace signs
+        kappa, lam, mu = ea * eb * inv.kappa, ea * inv.lam, eb * inv.mu
+        shift = Fraction(n * n, 4)
+        params = tuple(_sqrt_exact(shift - s / 2) for s in (kappa + mu, lam + kappa, mu + lam))
+        if any(p is None for p in params):
+            raise NotRationalFamily("central-scalar sums are not rational squares")
+        family, sign = "even", TwistSign(ea, eb)
+        target, criterion = twist(even_module(d, *params), sign), criterion_even
+    ok, _ = are_isomorphic(v_mod, target)
     if not ok:
-        raise IdentificationFailed("no invertible intertwiner to the even family")
-    if not criterion_even(d, *params):
-        raise IdentificationFailed("identified an even reducible point (library bug)")
-    return ClassCoordinates("even", d, sign, params)
+        raise IdentificationFailed(f"no invertible intertwiner to the {family} family")
+    if not criterion(d, *params):
+        raise IdentificationFailed(f"identified an {family} reducible point (library bug)")
+    return ClassCoordinates(family, d, sign, params)
 
 
 # --- odd-family twist collapse ----------------------------------------------------

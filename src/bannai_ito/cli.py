@@ -93,6 +93,8 @@ def parse_module(text: str) -> tuple[BIModule, dict]:
     for key in ("dim", "X", "Y", "kappa"):
         if key not in doc:
             raise CliError(EXIT_INPUT, f"module file is missing {key!r}")
+    if not isinstance(doc["dim"], int) or isinstance(doc["dim"], bool):
+        raise CliError(EXIT_INPUT, "dim must be an integer")
     x = _matrix_from_lists(doc["X"], "X")
     y = _matrix_from_lists(doc["Y"], "Y")
     kappa = _str_to_rat(doc["kappa"])

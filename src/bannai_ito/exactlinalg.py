@@ -2,9 +2,8 @@
 
 Everything in this module is deterministic and exact: entries are
 ``fractions.Fraction`` and no floating point is ever involved.  One
-Gauss-Jordan engine, ``RrefAccumulator``, builds every reduced row echelon
-form (rref, rank, kernel, inverse, spin, Krylov annihilators); only
-``Matrix.det`` keeps its own forward elimination.  Matrices are immutable;
+Gauss-Jordan engine, ``RrefAccumulator``, does every row elimination (rref,
+rank, kernel, inverse, det, spin, Krylov annihilators).  Matrices are immutable;
 sizes stay small (a few dozen rows), so the naive cubic algorithms are the
 right tool.
 """
@@ -179,27 +178,18 @@ class Matrix:
         return len(_row_reduce(self.rows, self.ncols))
 
     def det(self) -> Fraction:
-        """Determinant by fraction-preserving Gaussian elimination."""
+        """Determinant: the product of the signed pivots the rows leave in
+        one rref accumulator (0 as soon as a row falls in the span)."""
         if not self.is_square:
             raise ValueError("determinant of non-square matrix")
-        m = [list(r) for r in self.rows]
-        n = self.nrows
-        sign = 1
+        acc = RrefAccumulator(self.ncols)
         result = _F1
-        for c in range(n):
-            piv = next((i for i in range(c, n) if m[i][c]), None)
-            if piv is None:
+        for r in self.rows:
+            p = acc.add(r)
+            if not p:
                 return _F0
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                sign = -sign
-            p = m[c][c]
             result *= p
-            for i in range(c + 1, n):
-                f = m[i][c] / p
-                if f:
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return result if sign == 1 else -result
+        return result
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
@@ -251,12 +241,14 @@ class RrefAccumulator:
                 w = [a - f * b if b else a for a, b in zip(w, row)]
         return w
 
-    def add(self, v: Sequence[Fraction]) -> bool:
-        """Add v to the span; True if the dimension grew."""
+    def add(self, v: Sequence[Fraction]) -> Fraction:
+        """Add v to the span.  Returns 0 if v was already in it; otherwise the
+        pivot v was divided by, negated when the new row lands above an odd
+        number of existing rows (so the signed pivots multiply to the det)."""
         w = self.reduce(v)
         c = next((j for j, a in enumerate(w) if a), None)
         if c is None:
-            return False
+            return _F0
         p = w[c]
         if p != _F1:
             w = [a / p for a in w]
@@ -267,7 +259,7 @@ class RrefAccumulator:
         at = next((k for k, pc in enumerate(self.pivots) if pc > c), len(self.pivots))
         self.rows.insert(at, w)
         self.pivots.insert(at, c)
-        return True
+        return -p if (len(self.rows) - 1 - at) % 2 else p
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return not any(self.reduce(v))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bimodule import BIModule, CertificateError, EvenParams, SequenceTable, \
-    check_relations, derive_Z, relation_residuals
+    certify_intertwiner, check_relations, derive_Z, relation_residuals
 from .exactlinalg import Matrix, RatLike, Vector, rat, shifted_walk, vec
 
 PREMISES = ("highest_weight", "second_order", "kappa", "lambda", "mu")
@@ -33,7 +33,8 @@ class PremiseViolated(Exception):
     """One of the universal-property premises fails; .premise names it."""
 
     def __init__(self, premise: str, detail: str = ""):
-        assert premise in PREMISES
+        if premise not in PREMISES:
+            raise ValueError(f"unknown premise {premise!r}")
         self.premise = premise
         super().__init__(f"premise {premise!r} violated" + (f": {detail}" if detail else ""))
 
@@ -161,11 +162,8 @@ def descend_to_even(params: EvenParams, v_mod: BIModule, v) -> Matrix:
     if any(images[d + 1]):
         raise AnnihilatorFails(
             f"prod (X - theta_i) v = {images[d + 1]}, expected zero")
-    t = Matrix.from_columns(images[:d + 1])
-    e = params.module()
-    if t * e.X != v_mod.X * t or t * e.Y != v_mod.Y * t:
-        raise CertificateError("descent map fails to intertwine (library bug)")
-    return t
+    return certify_intertwiner(Matrix.from_columns(images[:d + 1]), params.module(),
+                               v_mod, "descent map")
 
 
 @dataclass(frozen=True)

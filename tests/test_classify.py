@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bannai_ito.bimodule import BIModule, TwistSign, even_module, example_even, \
-    example_odd, odd_module, twist
+from bannai_ito import classify
+from bannai_ito.bimodule import BIModule, CertificateError, TwistSign, even_module, \
+    example_even, example_odd, odd_module, twist
 from bannai_ito.classify import ClassCoordinates, IdentificationFailed, \
     IndeterminateIsomorphism, NonSplitSpectrum, NotRationalFamily, \
     _kernel_vector_intertwiner, a_flip_basis_matrices, \
@@ -194,6 +195,10 @@ def test_a_flip_basis_shape():
         assert flip.basis.is_upper_triangular()
         n = params[0] + 1
         assert all(flip.basis[i, i] == 1 for i in range(n))
+        # the returned matrices are the flipped module's; check the change of
+        # basis independently of the library's own intertwiner certificate
+        e, inv = even_module(*params), flip.basis.inverse()
+        assert (inv * e.X * flip.basis, inv * e.Y * flip.basis) == (flip.X, flip.Y)
 
 
 # --- intertwiners ------------------------------------------------------------
@@ -255,7 +260,7 @@ def test_are_isomorphic_indeterminate():
         are_isomorphic(v, w)
 
 
-def test_kernel_vector_intertwiner_outcomes():
+def test_kernel_vector_intertwiner_outcomes(monkeypatch):
     # plain operator pairs, not modules: each exercises one exit of the spin
     # of (k_V, k_W), where k = e_0 spans ker Y for both
     y = Matrix.diagonal([0, 1])
@@ -268,6 +273,11 @@ def test_kernel_vector_intertwiner_outcomes():
     assert _kernel_vector_intertwiner(v, BIModule(Matrix.zero(2), y, F(0))) == (False, None)
     # X_V = 0: k_V spans a proper submodule, so the slow path must decide
     assert _kernel_vector_intertwiner(BIModule(Matrix.zero(2), y, F(0)), v) is None
+    # a graph that is not invariant must fail its certificate, not read as "no"
+    monkeypatch.setattr(classify, "spin", lambda vectors, operators: tuple(
+        r + r for r in Matrix.identity(2).rows))
+    with pytest.raises(CertificateError, match="kernel-line spin graph fails to intertwine"):
+        _kernel_vector_intertwiner(v, BIModule(Matrix([[0, 1], [1, 0]]), y, F(0)))
 
 
 def test_certificates_checked_under_python_O():

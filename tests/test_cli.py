@@ -66,6 +66,13 @@ def test_parse_rejects_malformed_documents():
         with pytest.raises(CliError) as exc:
             parse_module(bad)
         assert exc.value.code == 2
+    # True == 1 and 4.0 == 4 in Python, but neither is a JSON integer
+    one = '{"dim": true, "X": [["0"]], "Y": [["0"]], "kappa": "0"}'
+    four = serialize_module(example_even()).replace('"dim": 4', '"dim": 4.0', 1)
+    for bad in (one, four):
+        with pytest.raises(CliError, match="^dim must be an integer$") as exc:
+            parse_module(bad)
+        assert exc.value.code == 2
 
 
 # --- build and fixture ----------------------------------------------------------

@@ -10,7 +10,7 @@ which the library's incremental rref engine is compared.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bannai_ito.exactlinalg import (
     Matrix,
@@ -330,6 +330,10 @@ def test_kernel_vectors_annihilate(m):
 
 @settings(max_examples=40, deadline=None)
 @given(square_matrices(4))
+# the sign of the pivot product: rows inserted above an odd number of others
+@example(Matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))  # anti-diagonal, det -1
+@example(Matrix([[0, 0, 2], [0, 3, 1], [5, 1, 1]]))  # descending pivots, det -30
+@example(Matrix([[0, 1, 2], [0, 3, 4], [0, 5, 7]]))  # zero first column, det 0
 def test_rref_idempotent_and_det(m):
     red, _ = rref(m)
     assert rref(red)[0] == red

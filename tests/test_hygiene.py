@@ -1,5 +1,6 @@
 """Repository hygiene: the runtime imports only the standard library and no
-layer imports another's private names, no file that .gitignore excludes is
+layer imports another's private names, no library guarantee rests on an
+`assert` (stripped under `python -O`), no file that .gitignore excludes is
 tracked, and every library name the benchmark traces still resolves."""
 
 import ast
@@ -33,6 +34,13 @@ def test_runtime_imports_are_stdlib_or_relative():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_no_assert_in_library():
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_no_ignored_file_is_tracked():

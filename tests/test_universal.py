@@ -90,6 +90,9 @@ def test_universal_map_premise_central_scalars():
     with pytest.raises(PremiseViolated) as exc:
         universal_map(1, 1, 1, 1, bad_mu, (1,), count=2)
     assert exc.value.premise == "mu"
+    # an unknown premise name is a caller error, also under python -O
+    with pytest.raises(ValueError, match="unknown premise 'lambda_'"):
+        PremiseViolated("lambda_")
 
 
 def test_descend_identity_on_ladder_head():
