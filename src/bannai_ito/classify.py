@@ -5,8 +5,11 @@ Two independent irreducibility routes are provided on purpose:
 * ``criterion_even`` / ``criterion_odd``: closed-form admissibility conditions
   on the parameters (four parameter sums avoiding a finite set of half-integer
   shifts);
-* ``oracle_irreducible``: a spin/Norton test on the matrices themselves that
-  knows nothing about the closed forms.
+* ``oracle_irreducible``: spin tests on the matrices themselves that know
+  nothing about the closed forms (a Norton test, MeatAxe spins of Y's
+  eigenvectors, a bounded word search).  It stays ``indeterminate`` only on
+  input whose eigenvector spins are all full and that has no nullity-1 word
+  of length <= 3.
 
 A third certificate for the even family is the lowering matrix, computable
 three unrelated ways (operator products, a two-term recurrence, a closed-form
@@ -114,8 +117,9 @@ def verify_invariant_subspace(v_mod: BIModule, basis: tuple[Vector, ...]) -> boo
                for b in basis for op in (v_mod.X, v_mod.Y))
 
 
-def _norton(v_mod: BIModule, nmat: Matrix, label: str) -> IrrVerdict:
-    """Two-sided spin test for a nullity-1 element of the acting algebra.
+def _norton(v_mod: BIModule, nmat: Matrix, v: Vector, label: str) -> IrrVerdict:
+    """Two-sided spin test for a nullity-1 element ``nmat`` of the acting
+    algebra, whose kernel line is spanned by ``v``.
 
     A proper submodule either meets the kernel line (proper primal spin) or
     is mapped onto itself, trapping the transposed kernel line inside its
@@ -123,7 +127,6 @@ def _norton(v_mod: BIModule, nmat: Matrix, label: str) -> IrrVerdict:
     irreducibility; either spin proper yields a verified witness.
     """
     n = v_mod.dim
-    v = kernel_basis(nmat)[0]
     primal = spin([v], [v_mod.X, v_mod.Y])
     if len(primal) < n:
         if not verify_invariant_subspace(v_mod, primal):
@@ -152,12 +155,10 @@ _MAX_WORD_LENGTH = 3  # longest product of shifted generators the word search tr
 
 
 def _candidates(x: Matrix, y: Matrix, eigs_y) -> Iterator[tuple[Matrix, str]]:
-    """Deterministic stream of small algebra elements to probe for nullity 1:
-    the shifts Y - theta, then (once those are spent) words in shifted X and Y."""
+    """Deterministic stream of small algebra elements to probe for nullity 1
+    once every eigenspace of Y is >= 2-dimensional: the shifts X - theta,
+    then combinations and words in shifted X and Y."""
     eye = Matrix.identity(x.nrows)
-    for th in eigs_y:
-        yield y - th * eye, f"Y - {_shift(th)}"
-    # every eigenspace of Y is >= 2-dimensional: hunt for a nullity-1 word
     roots_x = rational_spectrum(x)
     if not roots_x.split:
         raise NonSplitSpectrum("spectrum of X is not rational (word search)")
@@ -178,12 +179,21 @@ def _candidates(x: Matrix, y: Matrix, eigs_y) -> Iterator[tuple[Matrix, str]]:
 
 
 def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
-    """Decide irreducibility from the matrices alone.
+    """Decide irreducibility from the matrices alone, in three stages.
 
-    Uses the first rational eigenvalue of Y with a 1-dimensional eigenspace as
-    a Norton element; if every eigenspace is fatter, falls back to a budgeted
-    search for small algebra words of nullity 1.  Verdicts are conclusive
-    whenever a nullity-1 element is found; otherwise Indeterminate.
+    1. For each rational eigenvalue theta of Y, in increasing order, take the
+       kernel of Y - theta from one elimination; the first kernel line is a
+       Norton element for the two-sided spin test.
+    2. If every eigenspace of Y is >= 2-dimensional, spin each kernel basis
+       vector of each eigenspace under X and Y (the MeatAxe step).  The first
+       proper spin is a verified witness; in an irreducible module every spin
+       is full.
+    3. Otherwise search small algebra words for a nullity-1 element, testing
+       each candidate's nullity and taking its kernel from one elimination.
+
+    Verdicts are conclusive whenever a proper spin or a nullity-1 element is
+    found.  Indeterminate is left only for input whose eigenvector spins are
+    all full and that has no nullity-1 word of length <= _MAX_WORD_LENGTH.
     Raises NonSplitSpectrum if the needed spectra are not rational.
     """
     n = v_mod.dim
@@ -192,9 +202,29 @@ def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
     roots_y = rational_spectrum(v_mod.Y)
     if not roots_y.split:
         raise NonSplitSpectrum("spectrum of Y is not rational")
-    for nmat, label in _candidates(v_mod.X, v_mod.Y, sorted(set(roots_y.roots))):
-        if n - nmat.rank() == 1:
-            return _norton(v_mod, nmat, label)
+    eigs_y = sorted(set(roots_y.roots))
+    eye = Matrix.identity(n)
+    eigenspaces = []
+    for th in eigs_y:
+        nmat, label = v_mod.Y - th * eye, f"Y - {_shift(th)}"
+        kernel = kernel_basis(nmat)
+        if len(kernel) == 1:
+            return _norton(v_mod, nmat, kernel[0], label)
+        eigenspaces.append((label, kernel))
+    for label, kernel in eigenspaces:
+        for v in kernel:
+            sub = spin([v], [v_mod.X, v_mod.Y])
+            if len(sub) < n:
+                if not verify_invariant_subspace(v_mod, sub):
+                    raise CertificateError(f"spin of an eigenvector in the kernel of {label} "
+                                           "is not a submodule")
+                return IrrVerdict("reducible", sub, "oracle",
+                                  f"an eigenvector in the kernel of {label} "
+                                  "generates a proper submodule")
+    for nmat, label in _candidates(v_mod.X, v_mod.Y, eigs_y):
+        kernel = kernel_basis(nmat)
+        if len(kernel) == 1:
+            return _norton(v_mod, nmat, kernel[0], label)
     return IrrVerdict("indeterminate", None, "oracle",
                       "no nullity-1 element within the word budget")
 

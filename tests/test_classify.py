@@ -22,7 +22,7 @@ from bannai_ito.classify import ClassCoordinates, IdentificationFailed, \
     intertwiner_space, invariants, \
     lowering_matrix, odd_twist_check, oracle_irreducible, orbit_canonical, \
     verify_invariant_subspace
-from bannai_ito.exactlinalg import Matrix
+from bannai_ito.exactlinalg import Matrix, kernel_basis, rref, spin
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 
@@ -83,22 +83,51 @@ def test_oracle_dimension_one():
 
 
 def test_oracle_word_search_reducible():
-    # Y has only fat eigenspaces; the X-eigenvalue probes expose an
-    # invariant coordinate plane (the first probe is X + 2, whose kernel
-    # sits in the second block)
+    # Y has only fat eigenspaces, and P mixes the two invariant coordinate
+    # planes into every kernel_basis vector of Y - 0 and Y - 1, so each
+    # eigenvector spin is full; the X-eigenvalue probes expose the second
+    # plane (the first probe is X + 2, whose kernel sits in it)
     x = Matrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 4], [0, 0, 1, 0]])
     y = Matrix([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
-    mod = BIModule(x, y, kappa=F(0), lam=F(0), mu=F(0))
+    p = Matrix([[1, 1, -1, 0], [1, 2, -2, 1], [-1, 0, 1, 0], [-1, -1, 1, 1]])
+    p_inv = p.inverse()
+    mod = BIModule(p * x * p_inv, p * y * p_inv, kappa=F(0), lam=F(0), mu=F(0))
+    for th in (0, 1):
+        for v in kernel_basis(mod.Y - th * Matrix.identity(4)):
+            assert len(spin([v], [mod.X, mod.Y])) == 4
     verdict = oracle_irreducible(mod)
     assert verdict.is_reducible
+    assert verdict.detail == "kernel of (X - (-2)) generates a proper submodule"
     assert verify_invariant_subspace(mod, verdict.witness)
-    flat = {tuple(v) for v in verdict.witness}
-    assert flat == {(F(0), F(0), F(1), F(0)), (F(0), F(0), F(0), F(1))}
+    expected, _ = rref(Matrix([p.column(2), p.column(3)]))
+    assert verdict.witness == expected.rows
+
+
+@pytest.mark.parametrize("d", [3, 7])
+def test_oracle_spins_fat_eigenspaces_of_direct_sums(monkeypatch, d):
+    # every element acts on V + V' as A + A', so no Y shift has nullity 1;
+    # an eigenvector inside one summand spins to a proper submodule before
+    # any word is tried
+    def no_word_search(*args):
+        raise AssertionError("the word search must not run")
+
+    monkeypatch.setattr(classify, "_candidates", no_word_search)
+    a, b, c = F(1, 3), F(2, 7), F(5, 11)
+    v = even_module(d, a, b, c)
+    for partner in ((a, b, c), (-a, b, c), (a, -b, c), (a, b, -c)):
+        w = even_module(d, *partner)
+        s = BIModule(classify._direct_sum(v.X, w.X), classify._direct_sum(v.Y, w.Y),
+                     v.kappa, v.lam, v.mu)
+        verdict = oracle_irreducible(s)
+        assert verdict.is_reducible
+        assert verdict.detail.startswith("an eigenvector in the kernel of Y - ")
+        assert verify_invariant_subspace(s, verdict.witness)
 
 
 def test_oracle_word_search_irreducible():
     # two X-Jordan blocks crossed by a pair swap: Y has only fat eigenspaces
-    # (+-1, each twice) but no X-block flag is Y-invariant
+    # (+-1, each twice) whose every spin is full, and no X-block flag is
+    # Y-invariant
     x = Matrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]])
     y = Matrix([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
     verdict = oracle_irreducible(BIModule(x, y, kappa=F(0), lam=F(0), mu=F(0)))
@@ -303,7 +332,7 @@ def test_certificates_checked_under_python_O():
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines() == [
         "identify: identified an even reducible point (library bug)",
-        "oracle: spin of the kernel of (X - (-1/2)) is not a submodule",
+        "oracle: spin of an eigenvector in the kernel of Y - (-1/2) is not a submodule",
     ]
 
 

@@ -12,8 +12,9 @@ import pytest
 
 from bannai_ito.bimodule import BIModule, TwistSign, even_module, example_even, \
     example_odd, odd_module, twist
-from bannai_ito import cli
-from bannai_ito.classify import IndeterminateIsomorphism
+from bannai_ito import classify, cli
+from bannai_ito.classify import IndeterminateIsomorphism, IrrVerdict, \
+    verify_invariant_subspace
 from bannai_ito.cli import CliError, main, parse_module, serialize_module
 from bannai_ito.exactlinalg import Matrix
 
@@ -222,15 +223,29 @@ def test_classify_ignores_wrong_parity_meta(capsys, tmp_path):
     assert "criterion" not in doc
 
 
-def test_classify_indeterminate_exit_code(capsys, tmp_path):
-    # two copies of the trivial module: relations hold, but no nullity-1
-    # element exists within the word budget
+def test_classify_zero_sum_is_reducible(capsys, tmp_path):
+    # two copies of the trivial module: Y = 0 has one fat eigenspace, and the
+    # first eigenvector spins to a line, a verified one-dimensional witness
     path = tmp_path / "z.json"
     mod = BIModule(Matrix.zero(2, 2), Matrix.zero(2, 2), kappa=F(0))
     path.write_text(serialize_module(mod))
     code, out, _ = run_cli(capsys, "classify", str(path), "--no-timing")
+    assert code == 0
+    oracle = json.loads(out)["oracle"]
+    assert oracle["status"] == "reducible"
+    witness = tuple(tuple(F(e) for e in v) for v in oracle["witness"])
+    assert len(witness) == 1 and verify_invariant_subspace(mod, witness)
+
+
+def test_classify_indeterminate_exit_code(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "oracle_irreducible", lambda mod: IrrVerdict(
+        "indeterminate", None, "oracle", "no nullity-1 element within the word budget"))
+    path = tmp_path / "e.json"
+    path.write_text(serialize_module(example_even()))
+    code, out, _ = run_cli(capsys, "classify", str(path), "--no-timing")
     assert code == 3
-    assert json.loads(out)["oracle"]["status"] == "indeterminate"
+    doc = json.loads(out)
+    assert doc["oracle"]["status"] == "indeterminate" and doc["exit"] == 3
 
 
 def test_classify_gates_on_relations(capsys, tmp_path):
@@ -262,10 +277,20 @@ def test_identify_rejects_reducible(capsys, tmp_path):
     assert "error" in json.loads(out)
 
 
-def test_identify_indeterminate_exit_code(capsys, tmp_path):
-    # the 2-dimensional zero module is a module, but the oracle cannot decide
+def test_identify_zero_sum_is_reducible(capsys, tmp_path):
+    # the 2-dimensional zero module is a module with a verified witness
     path = tmp_path / "z.json"
     path.write_text(serialize_module(BIModule(Matrix.zero(2, 2), Matrix.zero(2, 2), kappa=F(0))))
+    code, out, _ = run_cli(capsys, "identify", str(path), "--no-timing")
+    assert code == 1
+    assert json.loads(out)["error"] == "module is not irreducible (reducible)"
+
+
+def test_identify_indeterminate_exit_code(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(classify, "oracle_irreducible", lambda mod: IrrVerdict(
+        "indeterminate", None, "oracle", "no nullity-1 element within the word budget"))
+    path = tmp_path / "e.json"
+    path.write_text(serialize_module(example_even()))
     code, out, _ = run_cli(capsys, "identify", str(path), "--no-timing")
     assert code == 3
     doc = json.loads(out)
