@@ -6,10 +6,10 @@ Two independent irreducibility routes are provided on purpose:
   on the parameters (four parameter sums avoiding a finite set of half-integer
   shifts);
 * ``oracle_irreducible``: spin tests on the matrices themselves that know
-  nothing about the closed forms (a Norton test, MeatAxe spins of Y's
-  eigenvectors, a bounded word search).  It stays ``indeterminate`` only on
-  input whose eigenvector spins are all full and that has no nullity-1 word
-  of length <= 3.
+  nothing about the closed forms (a Norton test on a shift of Y or X, MeatAxe
+  spins of their eigenvectors, a probe of Y-X combinations).  It stays
+  ``indeterminate`` only on input where no shift of X or Y and no
+  combination has nullity 1, and every eigenvector spin is full.
 
 A third certificate for the even family is the lowering matrix, computable
 three unrelated ways (operator products, a two-term recurrence, a closed-form
@@ -151,82 +151,64 @@ def _shift(q: Fraction) -> str:
     return f"({q})" if q < 0 else str(q)
 
 
-_MAX_WORD_LENGTH = 3  # longest product of shifted generators the word search tries
-
-
-def _candidates(x: Matrix, y: Matrix, eigs_y) -> Iterator[tuple[Matrix, str]]:
-    """Deterministic stream of small algebra elements to probe for nullity 1
-    once every eigenspace of Y is >= 2-dimensional: the shifts X - theta,
-    then combinations and words in shifted X and Y."""
-    eye = Matrix.identity(x.nrows)
-    roots_x = rational_spectrum(x)
-    if not roots_x.split:
-        raise NonSplitSpectrum("spectrum of X is not rational (word search)")
-    x_factors = [(x - th * eye, f"(X - {_shift(th)})") for th in sorted(set(roots_x.roots))]
-    y_factors = [(y - th * eye, f"(Y - {_shift(th)})") for th in eigs_y]
-    yield from x_factors
-    for ym, ylab in y_factors:
-        for xm, xlab in x_factors:
-            for t in (1, -1, 2, -2):
-                yield ym + t * xm, f"{ylab} + {t}*{xlab}"
-    alphabet = x_factors + y_factors
-    for length in range(2, _MAX_WORD_LENGTH + 1):
-        for combo in itertools.product(alphabet, repeat=length):
-            m = combo[0][0]
-            for f, _ in combo[1:]:
-                m = m * f
-            yield m, "*".join(lab for _, lab in combo)
+def _eigenspaces(g: Matrix, name: str) -> Iterator[tuple[Fraction, Matrix, tuple[Vector, ...]]]:
+    """(theta, g - theta, kernel) for each distinct eigenvalue theta of g, in
+    increasing order and lazily, each kernel from one elimination.  Raises
+    NonSplitSpectrum when the first item is asked for and the spectrum of g is
+    not rational."""
+    roots = rational_spectrum(g)
+    if not roots.split:
+        raise NonSplitSpectrum(f"spectrum of {name} is not rational")
+    eye = Matrix.identity(g.nrows)
+    for th in sorted(set(roots.roots)):
+        shifted = g - th * eye
+        yield th, shifted, kernel_basis(shifted)
 
 
 def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
-    """Decide irreducibility from the matrices alone, in three stages.
+    """Decide irreducibility from the matrices alone: one pass over Y, then
+    X, then a probe of their combinations.
 
-    1. For each rational eigenvalue theta of Y, in increasing order, take the
-       kernel of Y - theta from one elimination; the first kernel line is a
-       Norton element for the two-sided spin test.
-    2. If every eigenspace of Y is >= 2-dimensional, spin each kernel basis
-       vector of each eigenspace under X and Y (the MeatAxe step).  The first
-       proper spin is a verified witness; in an irreducible module every spin
-       is full.
-    3. Otherwise search small algebra words for a nullity-1 element, testing
-       each candidate's nullity and taking its kernel from one elimination.
-
-    Verdicts are conclusive whenever a proper spin or a nullity-1 element is
-    found.  Indeterminate is left only for input whose eigenvector spins are
-    all full and that has no nullity-1 word of length <= _MAX_WORD_LENGTH.
-    Raises NonSplitSpectrum if the needed spectra are not rational.
+    For each generator g, the kernel of g - theta for each rational
+    eigenvalue theta, in increasing order, comes from one elimination; the
+    first kernel line is a Norton element for the two-sided spin test.  If
+    every eigenspace of g is >= 2-dimensional, each kernel basis vector is
+    spun under X and Y (the MeatAxe step); the first proper spin is a
+    verified witness, and in an irreducible module every spin is full.  Last,
+    (Y - theta) + t (X - theta') for t in (1, -1, 2, -2) is probed for
+    nullity 1.  Indeterminate is left only when no shift of X or Y and no
+    combination has nullity 1, and every eigenvector spin is full.  Raises
+    NonSplitSpectrum if the spectrum of Y or X is not rational.
     """
     n = v_mod.dim
     if n == 1:
         return IrrVerdict("irreducible", None, "oracle", "dimension 1")
-    roots_y = rational_spectrum(v_mod.Y)
-    if not roots_y.split:
-        raise NonSplitSpectrum("spectrum of Y is not rational")
-    eigs_y = sorted(set(roots_y.roots))
-    eye = Matrix.identity(n)
-    eigenspaces = []
-    for th in eigs_y:
-        nmat, label = v_mod.Y - th * eye, f"Y - {_shift(th)}"
+    fat = {}
+    for name, g, fmt in (("Y", v_mod.Y, "Y - {}"), ("X", v_mod.X, "(X - {})")):
+        fat[name] = []
+        for th, shifted, kernel in _eigenspaces(g, name):
+            label = fmt.format(_shift(th))
+            if len(kernel) == 1:
+                return _norton(v_mod, shifted, kernel[0], label)
+            fat[name].append((shifted, label, kernel))
+        for _, label, kernel in fat[name]:
+            for v in kernel:
+                sub = spin([v], [v_mod.X, v_mod.Y])
+                if len(sub) < n:
+                    if not verify_invariant_subspace(v_mod, sub):
+                        raise CertificateError(f"spin of an eigenvector in the kernel of "
+                                               f"{label} is not a submodule")
+                    return IrrVerdict("reducible", sub, "oracle",
+                                      f"an eigenvector in the kernel of {label} "
+                                      "generates a proper submodule")
+    for (ym, ylab, _), (xm, xlab, _), t in itertools.product(fat["Y"], fat["X"], (1, -1, 2, -2)):
+        nmat = ym + t * xm
         kernel = kernel_basis(nmat)
         if len(kernel) == 1:
-            return _norton(v_mod, nmat, kernel[0], label)
-        eigenspaces.append((label, kernel))
-    for label, kernel in eigenspaces:
-        for v in kernel:
-            sub = spin([v], [v_mod.X, v_mod.Y])
-            if len(sub) < n:
-                if not verify_invariant_subspace(v_mod, sub):
-                    raise CertificateError(f"spin of an eigenvector in the kernel of {label} "
-                                           "is not a submodule")
-                return IrrVerdict("reducible", sub, "oracle",
-                                  f"an eigenvector in the kernel of {label} "
-                                  "generates a proper submodule")
-    for nmat, label in _candidates(v_mod.X, v_mod.Y, eigs_y):
-        kernel = kernel_basis(nmat)
-        if len(kernel) == 1:
-            return _norton(v_mod, nmat, kernel[0], label)
+            return _norton(v_mod, nmat, kernel[0], f"({ylab}) + {t}*{xlab}")
     return IrrVerdict("indeterminate", None, "oracle",
-                      "no nullity-1 element within the word budget")
+                      "no shift of X or Y and no combination has nullity 1, "
+                      "and every eigenvector spin is full")
 
 
 # --- the lowering matrix certificate -------------------------------------------
@@ -287,15 +269,15 @@ def _lowering_recurrence(t, d: int) -> Matrix:
 
 def _lowering_operator(p: EvenParams, t, d: int) -> Matrix:
     e = p.module()
-    eye = Matrix.identity(d + 1)
-    r = eye
-    for h in range(1, d + 1):
-        r = r * (e.Y - t.theta_star(h) * eye)
+    # row i of the lowering product (Y - theta*_1) ... (Y - theta*_d) is a
+    # walk from e_i under Y^T
+    y_t, shifts = e.Y.T, [t.theta_star(h) for h in range(1, d + 1)]
+    r = [shifted_walk(y_t, row, shifts)[-1] for row in Matrix.identity(d + 1).rows]
     # the full lowering product maps everything into the bottom ladder line
-    if any(r[i, j] for i in range(1, d + 1) for j in range(d + 1)):
+    if any(any(row) for row in r[1:]):
         raise CertificateError("lowering product escaped the lowest ladder line")
     # row i is r_0 (X - theta_d) ... (X - theta_{i+1}), a walk under X^T
-    walk = shifted_walk(e.X.T, r.row(0), [t.theta(i) for i in range(d, 0, -1)])
+    walk = shifted_walk(e.X.T, r[0], [t.theta(i) for i in range(d, 0, -1)])
     return Matrix(walk[::-1])
 
 
@@ -368,28 +350,23 @@ def _kernel_vector_intertwiner(v_mod: BIModule, w_mod: BIModule):
     decides the question; a wider spin rules out every isomorphism.
     """
     n = v_mod.dim
-    roots = rational_spectrum(v_mod.Y)
-    if not roots.split:
+    try:
+        lam, kv = next((lam, kv) for lam, _, kv in _eigenspaces(v_mod.Y, "Y") if len(kv) == 1)
+    except (NonSplitSpectrum, StopIteration):
         return None
-    eye = Matrix.identity(n)
-    for lam in sorted(set(roots.roots)):
-        kv = kernel_basis(v_mod.Y - lam * eye)
-        if len(kv) != 1:
-            continue
-        kw = kernel_basis(w_mod.Y - lam * eye)
-        if len(kw) != 1:
-            return (False, None)  # isomorphisms preserve eigen-nullities
-        graph = spin([kv[0] + kw[0]], [_direct_sum(v_mod.X, w_mod.X),
-                                       _direct_sum(v_mod.Y, w_mod.Y)])
-        # rref rows sort by pivot, so the V-part is full iff row n-1 pivots at n-1
-        if len(graph) < n or not graph[n - 1][n - 1]:
-            return None  # seed generates a proper submodule; go the slow way
-        if len(graph) > n:
-            return (False, None)
-        t = certify_intertwiner(Matrix.from_columns([row[n:] for row in graph]),
-                                v_mod, w_mod, "kernel-line spin graph")
-        return (True, t) if t.rank() == n else (False, None)
-    return None
+    kw = kernel_basis(w_mod.Y - lam * Matrix.identity(n))
+    if len(kw) != 1:
+        return (False, None)  # isomorphisms preserve eigen-nullities
+    graph = spin([kv[0] + kw[0]], [_direct_sum(v_mod.X, w_mod.X),
+                                   _direct_sum(v_mod.Y, w_mod.Y)])
+    # rref rows sort by pivot, so the V-part is full iff row n-1 pivots at n-1
+    if len(graph) < n or not graph[n - 1][n - 1]:
+        return None  # seed generates a proper submodule; go the slow way
+    if len(graph) > n:
+        return (False, None)
+    t = certify_intertwiner(Matrix.from_columns([row[n:] for row in graph]),
+                            v_mod, w_mod, "kernel-line spin graph")
+    return (True, t) if t.rank() == n else (False, None)
 
 
 def are_isomorphic(v_mod: BIModule, w_mod: BIModule) -> tuple[bool, Matrix | None]:

@@ -24,7 +24,7 @@ from .bimodule import BIModule, NotAModule, TwistSign, check_relations, \
 from .classify import IdentificationFailed, IndeterminateIrreducibility, \
     IndeterminateIsomorphism, NonSplitSpectrum, NotRationalFamily, are_isomorphic, \
     criterion_even, criterion_odd, identify, invariants, oracle_irreducible
-from .exactlinalg import Matrix, Poly, is_squarefree, min_poly, rational_roots
+from .exactlinalg import Matrix, Roots, is_squarefree, min_poly, rational_roots
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -175,12 +175,14 @@ def _family_meta(family: str, d: int, a, b, c, sign: TwistSign) -> dict:
             "c": str(Fraction(c)), "twist": f"{sign.eps},{sign.eps_prime}"}
 
 
-def _criterion_from_meta(meta: dict) -> bool | None:
+def _criterion_from_meta(meta: dict, dim: int) -> bool | None:
     """Whether the criterion holds at a module file's meta coordinates, or
-    None if they are absent/foreign."""
+    None if they are absent/foreign (including a d with d + 1 != dim)."""
     try:
-        criterion = _FAMILIES[meta["family"]][1]
-        return criterion(int(meta["d"]), *(Fraction(meta[k]) for k in ("a", "b", "c")))
+        criterion, d = _FAMILIES[meta["family"]][1], int(meta["d"])
+        if d + 1 != dim:
+            return None  # the coordinates of a module of another dimension
+        return criterion(d, *(Fraction(meta[k]) for k in ("a", "b", "c")))
     except (KeyError, ValueError, ZeroDivisionError, TypeError):
         return None  # absent keys, foreign values, or d of the wrong parity
 
@@ -228,8 +230,7 @@ def _coords_fragment(coords) -> dict:
             "params": [str(p) for p in coords.params]}
 
 
-def _factored_string(p: Poly) -> str | None:
-    roots = rational_roots(p)
+def _factored_string(roots: Roots) -> str | None:
     if not roots.split:
         return None
     pieces = []
@@ -284,7 +285,7 @@ def cmd_classify(args) -> int:
         return code
     verdict = oracle_irreducible(mod)
     report["oracle"] = _verdict_fragment(verdict)
-    holds = _criterion_from_meta(meta)
+    holds = _criterion_from_meta(meta, mod.dim)
     if holds is not None:
         report["criterion"] = {"status": "irreducible" if holds else "reducible",
                                "method": "criterion"}
@@ -353,7 +354,7 @@ def cmd_minpoly(args) -> int:
         results.append({
             "generator": name,
             "min_poly_coeffs": [str(cf) for cf in p.coeffs],
-            "factored": _factored_string(p),
+            "factored": _factored_string(roots),
             "squarefree": squarefree,
             "split": roots.split,
             "diagonalizable": squarefree and roots.split,

@@ -2,6 +2,7 @@
 isomorphism testing and class identification."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -82,16 +83,50 @@ def test_oracle_dimension_one():
     assert oracle_irreducible(odd_module(0, 2, -1, F(1, 2))).is_irreducible
 
 
-def test_oracle_word_search_reducible():
+# the conjugating matrix of the 4 x 4 X-route examples below
+_P4 = Matrix([[1, 1, -1, 0], [1, 2, -2, 1], [-1, 0, 1, 0], [-1, -1, 1, 1]])
+
+
+def _conjugate(x: Matrix, y: Matrix, p: Matrix) -> BIModule:
+    p_inv = p.inverse()
+    return BIModule(p * x * p_inv, p * y * p_inv, kappa=F(0), lam=F(0), mu=F(0))
+
+
+def _block_sum(seed: int, size: int) -> BIModule:
+    """P (S1 D S1^-1 + S2 D S2^-1, T1 D T1^-1 + T2 D T2^-1) P^-1 for
+    D = diag(0, ..., size - 1): an operator pair (not a module) whose
+    generators have only 2-dimensional eigenspaces, seeded small-integer
+    S_i, T_i and a unimodular P that mixes the two blocks."""
+    rng = random.Random(seed)
+
+    def invertible(m):
+        while True:
+            s = Matrix([[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)])
+            if s.det() != 0:
+                return s
+
+    def unit_triangular(n, below):
+        return Matrix([[1 if i == j else rng.randint(-1, 1) if (j < i) == below else 0
+                        for j in range(n)] for i in range(n)])
+
+    d = Matrix([[k if k == j else 0 for j in range(size)] for k in range(size)])
+    x_blocks, y_blocks = [], []
+    for _ in range(2):
+        s, t = invertible(size), invertible(size)
+        x_blocks.append(s * d * s.inverse())
+        y_blocks.append(t * d * t.inverse())
+    p = unit_triangular(2 * size, True) * unit_triangular(2 * size, False)
+    return _conjugate(classify._direct_sum(*x_blocks), classify._direct_sum(*y_blocks), p)
+
+
+def test_oracle_x_shift_norton_reducible():
     # Y has only fat eigenspaces, and P mixes the two invariant coordinate
     # planes into every kernel_basis vector of Y - 0 and Y - 1, so each
-    # eigenvector spin is full; the X-eigenvalue probes expose the second
-    # plane (the first probe is X + 2, whose kernel sits in it)
+    # eigenvector spin is full; X has simple eigenvalues, and the kernel of
+    # the first shift, X + 2, sits in the second plane
     x = Matrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 4], [0, 0, 1, 0]])
     y = Matrix([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
-    p = Matrix([[1, 1, -1, 0], [1, 2, -2, 1], [-1, 0, 1, 0], [-1, -1, 1, 1]])
-    p_inv = p.inverse()
-    mod = BIModule(p * x * p_inv, p * y * p_inv, kappa=F(0), lam=F(0), mu=F(0))
+    mod = _conjugate(x, y, _P4)
     for th in (0, 1):
         for v in kernel_basis(mod.Y - th * Matrix.identity(4)):
             assert len(spin([v], [mod.X, mod.Y])) == 4
@@ -99,19 +134,77 @@ def test_oracle_word_search_reducible():
     assert verdict.is_reducible
     assert verdict.detail == "kernel of (X - (-2)) generates a proper submodule"
     assert verify_invariant_subspace(mod, verdict.witness)
-    expected, _ = rref(Matrix([p.column(2), p.column(3)]))
+    expected, _ = rref(Matrix([_P4.column(2), _P4.column(3)]))
     assert verdict.witness == expected.rows
+
+
+def test_oracle_spins_x_eigenvectors():
+    # X = X1 + X2 with both blocks of spectrum {1, -1}, so every shift of X
+    # and of Y = diag(0, 1, 0, 1) has nullity 2 and every Y-eigenvector spin
+    # is full; a kernel vector of X + 1 lies in the first plane
+    x = classify._direct_sum(Matrix([[0, 1], [1, 0]]),
+                             Matrix([[F(1, 2), F(3, 4)], [1, F(-1, 2)]]))
+    y = Matrix([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
+    mod = _conjugate(x, y, _P4)
+    for th in (0, 1):
+        for v in kernel_basis(mod.Y - th * Matrix.identity(4)):
+            assert len(spin([v], [mod.X, mod.Y])) == 4
+    verdict = oracle_irreducible(mod)
+    assert verdict.is_reducible
+    assert verdict.detail == ("an eigenvector in the kernel of (X - (-1)) "
+                              "generates a proper submodule")
+    expected, _ = rref(Matrix([_P4.column(0), _P4.column(1)]))
+    assert verdict.witness == expected.rows
+
+
+def test_oracle_combination_decides():
+    # every shift of X and Y has nullity 2 and every eigenvector spin is
+    # full; (Y - 0) - 2 (X - 0) has nullity 1 and its kernel spins to a
+    # proper submodule
+    mod = _block_sum(347, 3)
+    verdict = oracle_irreducible(mod)
+    assert verdict.is_reducible
+    assert verdict.detail == "kernel of (Y - 0) + -2*(X - 0) generates a proper submodule"
+    assert verify_invariant_subspace(mod, verdict.witness)
+
+
+def test_oracle_indeterminate():
+    mod = _block_sum(75, 2)
+    verdict = oracle_irreducible(mod)
+    assert verdict.status == "indeterminate" and verdict.witness is None
+    assert verdict.detail == ("no shift of X or Y and no combination has nullity 1, "
+                              "and every eigenvector spin is full")
+
+
+def test_oracle_work_is_bounded(monkeypatch):
+    # the worst path: every Y and X shift, every eigenvector spin and all
+    # 4 * 6 * 6 combinations, one elimination each
+    calls = []
+
+    def counting_kernel_basis(m):
+        calls.append(m.nrows)
+        return kernel_basis(m)
+
+    mod = _block_sum(8, 6)
+    monkeypatch.setattr(classify, "kernel_basis", counting_kernel_basis)
+    n = mod.dim
+    assert oracle_irreducible(mod).status == "indeterminate"
+    assert len(calls) <= 2 * n + n * n
 
 
 @pytest.mark.parametrize("d", [3, 7])
 def test_oracle_spins_fat_eigenspaces_of_direct_sums(monkeypatch, d):
     # every element acts on V + V' as A + A', so no Y shift has nullity 1;
     # an eigenvector inside one summand spins to a proper submodule before
-    # any word is tried
-    def no_word_search(*args):
-        raise AssertionError("the word search must not run")
+    # X is looked at
+    real_eigenspaces = classify._eigenspaces
 
-    monkeypatch.setattr(classify, "_candidates", no_word_search)
+    def y_only(g, name):
+        if name != "Y":
+            raise AssertionError("X must not be looked at")
+        return real_eigenspaces(g, name)
+
+    monkeypatch.setattr(classify, "_eigenspaces", y_only)
     a, b, c = F(1, 3), F(2, 7), F(5, 11)
     v = even_module(d, a, b, c)
     for partner in ((a, b, c), (-a, b, c), (a, -b, c), (a, b, -c)):
@@ -124,7 +217,7 @@ def test_oracle_spins_fat_eigenspaces_of_direct_sums(monkeypatch, d):
         assert verify_invariant_subspace(s, verdict.witness)
 
 
-def test_oracle_word_search_irreducible():
+def test_oracle_x_shift_norton_irreducible():
     # two X-Jordan blocks crossed by a pair swap: Y has only fat eigenspaces
     # (+-1, each twice) whose every spin is full, and no X-block flag is
     # Y-invariant
@@ -136,11 +229,11 @@ def test_oracle_word_search_irreducible():
 
 def test_oracle_nonsplit_spectrum():
     y = Matrix([[0, 1], [2, 0]])  # eigenvalues are irrational
-    with pytest.raises(NonSplitSpectrum):
+    with pytest.raises(NonSplitSpectrum, match="spectrum of Y is not rational"):
         oracle_irreducible(BIModule(Matrix.identity(2), y, kappa=F(0)))
-    # Y split but useless, X non-split: raised lazily at the word search
+    # Y split but useless, X non-split: raised once the oracle turns to X
     x = Matrix([[0, 1], [2, 0]])
-    with pytest.raises(NonSplitSpectrum):
+    with pytest.raises(NonSplitSpectrum, match="spectrum of X is not rational"):
         oracle_irreducible(BIModule(x, Matrix.zero(2, 2), kappa=F(0)))
 
 

@@ -223,6 +223,22 @@ def test_classify_ignores_wrong_parity_meta(capsys, tmp_path):
     assert "criterion" not in doc
 
 
+def test_classify_ignores_meta_of_another_dimension(capsys, tmp_path):
+    # d = 1 has the right parity but describes a 2-dimensional module, not
+    # this 4-dimensional one: foreign meta, so no criterion row and no
+    # methods_agree verdict next to the oracle's
+    doc = json.loads(serialize_module(example_even(), {"family": "even", "d": "1",
+                                                       "a": "0", "b": "0", "c": "0"}))
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "classify", str(path), "--no-timing")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["oracle"]["status"] == "irreducible"
+    assert doc["class"]["params"] == ["1", "0", "1"]
+    assert "criterion" not in doc and "methods_agree" not in doc
+
+
 def test_classify_zero_sum_is_reducible(capsys, tmp_path):
     # two copies of the trivial module: Y = 0 has one fat eigenspace, and the
     # first eigenvector spins to a line, a verified one-dimensional witness
