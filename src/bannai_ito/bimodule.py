@@ -223,12 +223,12 @@ def certify_intertwiner(t: Matrix, v: BIModule, w: BIModule, what: str) -> Matri
 
 def even_module(d: int, a: RatLike, b: RatLike, c: RatLike) -> BIModule:
     """The (d+1)-dimensional module of the even-dimensional family, d odd."""
-    return EvenParams(d, rat(a), rat(b), rat(c)).module()
+    return EvenParams(d, a, b, c).module()
 
 
 def odd_module(d: int, a: RatLike, b: RatLike, c: RatLike) -> BIModule:
     """The (d+1)-dimensional module of the odd-dimensional family, d even."""
-    return OddParams(d, rat(a), rat(b), rat(c)).module()
+    return OddParams(d, a, b, c).module()
 
 
 def twist(v: BIModule, sign: TwistSign) -> BIModule:
@@ -303,11 +303,8 @@ def minimal_polynomials(v: BIModule) -> dict[str, Poly]:
 def diagonalizability(v: BIModule) -> dict[str, bool]:
     """Per generator: True iff the minimal polynomial is squarefree and splits
     over Q (equivalently, the generator is diagonalizable over Q)."""
-    out = {}
-    for g in ("X", "Y", "Z"):
-        mp = min_poly(v.generator(g))
-        out[g] = is_squarefree(mp) and rational_roots(mp).split
-    return out
+    return {g: is_squarefree(p) and rational_roots(p).split
+            for g, p in minimal_polynomials(v).items()}
 
 
 def example_even() -> BIModule:

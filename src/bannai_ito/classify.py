@@ -65,7 +65,7 @@ class IndeterminateIsomorphism(Exception):
 def criterion_even(d: int, a: RatLike, b: RatLike, c: RatLike) -> bool:
     """Admissibility of (a, b, c) for the even family: the four sums
     a+b+c, -a+b+c, a-b+c, a+b-c must avoid (d-1)/2 - i for even i < d."""
-    p = EvenParams(d, rat(a), rat(b), rat(c))
+    p = EvenParams(d, a, b, c)
     forbidden = {Fraction(d - 1, 2) - i for i in range(0, d, 2)}
     sums = (p.a + p.b + p.c, -p.a + p.b + p.c, p.a - p.b + p.c, p.a + p.b - p.c)
     return all(s not in forbidden for s in sums)
@@ -74,7 +74,7 @@ def criterion_even(d: int, a: RatLike, b: RatLike, c: RatLike) -> bool:
 def criterion_odd(d: int, a: RatLike, b: RatLike, c: RatLike) -> bool:
     """Admissibility for the odd family: a+b+c, a-b-c, -a+b-c, -a-b+c must
     avoid (d+1)/2 - i for even i with 2 <= i <= d (vacuous at d = 0)."""
-    p = OddParams(d, rat(a), rat(b), rat(c))
+    p = OddParams(d, a, b, c)
     forbidden = {Fraction(d + 1, 2) - i for i in range(2, d + 1, 2)}
     vals = (p.a + p.b + p.c, p.a - p.b - p.c, -p.a + p.b - p.c, -p.a - p.b + p.c)
     return all(v not in forbidden for v in vals)
@@ -117,6 +117,12 @@ def verify_invariant_subspace(v_mod: BIModule, basis: tuple[Vector, ...]) -> boo
                for b in basis for op in (v_mod.X, v_mod.Y))
 
 
+def _reducible(v_mod: BIModule, witness: tuple[Vector, ...], what: str, detail: str) -> IrrVerdict:
+    if not verify_invariant_subspace(v_mod, witness):
+        raise CertificateError(f"{what} is not a submodule")
+    return IrrVerdict("reducible", witness, "oracle", detail)
+
+
 def _norton(v_mod: BIModule, nmat: Matrix, v: Vector, label: str) -> IrrVerdict:
     """Two-sided spin test for a nullity-1 element ``nmat`` of the acting
     algebra, whose kernel line is spanned by ``v``.
@@ -129,18 +135,13 @@ def _norton(v_mod: BIModule, nmat: Matrix, v: Vector, label: str) -> IrrVerdict:
     n = v_mod.dim
     primal = spin([v], [v_mod.X, v_mod.Y])
     if len(primal) < n:
-        if not verify_invariant_subspace(v_mod, primal):
-            raise CertificateError(f"spin of the kernel of {label} is not a submodule")
-        return IrrVerdict("reducible", primal, "oracle",
+        return _reducible(v_mod, primal, f"spin of the kernel of {label}",
                           f"kernel of {label} generates a proper submodule")
     w = kernel_basis(nmat.T)[0]
     dual = spin([w], [v_mod.X.T, v_mod.Y.T])
     if len(dual) < n:
-        witness = kernel_basis(Matrix(dual))
-        if not verify_invariant_subspace(v_mod, witness):
-            raise CertificateError(f"dual-spin annihilator for the kernel of {label} "
-                                   "is not a submodule")
-        return IrrVerdict("reducible", witness, "oracle",
+        return _reducible(v_mod, kernel_basis(Matrix(dual)),
+                          f"dual-spin annihilator for the kernel of {label}",
                           f"dual kernel of {label} generates a proper submodule; "
                           "its annihilator is the witness")
     return IrrVerdict("irreducible", None, "oracle",
@@ -195,12 +196,9 @@ def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
             for v in kernel:
                 sub = spin([v], [v_mod.X, v_mod.Y])
                 if len(sub) < n:
-                    if not verify_invariant_subspace(v_mod, sub):
-                        raise CertificateError(f"spin of an eigenvector in the kernel of "
-                                               f"{label} is not a submodule")
-                    return IrrVerdict("reducible", sub, "oracle",
-                                      f"an eigenvector in the kernel of {label} "
-                                      "generates a proper submodule")
+                    what = f"an eigenvector in the kernel of {label}"
+                    return _reducible(v_mod, sub, f"spin of {what}",
+                                      f"{what} generates a proper submodule")
     for (ym, ylab, _), (xm, xlab, _), t in itertools.product(fat["Y"], fat["X"], (1, -1, 2, -2)):
         nmat = ym + t * xm
         kernel = kernel_basis(nmat)
@@ -223,7 +221,7 @@ def lowering_matrix(d: int, a: RatLike, b: RatLike, c: RatLike,
     from the first column), or "operator" (read off the actual matrix
     products in the module).  All three agree; they share no code.
     """
-    p = EvenParams(d, rat(a), rat(b), rat(c))
+    p = EvenParams(d, a, b, c)
     t = p.table()
     if method == "closed":
         return _lowering_closed(t, d)
@@ -297,10 +295,10 @@ def a_flip_basis_matrices(d: int, a: RatLike, b: RatLike, c: RatLike) -> FlipBas
     Y is upper bidiagonal with the lower phi sequence, i.e. the module equals
     the one built from (-a, b, c) on the nose.
     """
-    p = EvenParams(d, rat(a), rat(b), rat(c))
+    p = EvenParams(d, a, b, c)
     t = p.table()
     e = p.module()
-    v0 = tuple(_F1 if k == 0 else _F0 for k in range(d + 1))
+    v0 = Matrix.identity(d + 1).rows[0]
     basis = Matrix.from_columns(shifted_walk(e.X, v0, [t.theta(d - h) for h in range(d)]))
     if basis.rank() != d + 1:
         raise CertificateError("reversed-ladder basis is singular (library bug)")
@@ -489,7 +487,8 @@ def identify(v_mod: BIModule, *, assume_irreducible: bool = False) -> ClassCoord
             raise NotRationalFamily("central-scalar sums are not rational squares")
         family, sign = "even", TwistSign(ea, eb)
         target, criterion = twist(even_module(d, *params), sign), criterion_even
-    ok, _ = are_isomorphic(v_mod, target)
+    # target first: its bidiagonal Y spares the kernel-line path a second spectrum of v_mod
+    ok, _ = are_isomorphic(target, v_mod)
     if not ok:
         raise IdentificationFailed(f"no invertible intertwiner to the {family} family")
     if not criterion(d, *params):
@@ -511,7 +510,7 @@ def odd_twist_check(d: int, a: RatLike, b: RatLike, c: RatLike) -> tuple[OddTwis
     """For an irreducible odd-family module, every nontrivial twist is again
     in the family with two parameter signs flipped; returns the three checks
     with their intertwiners."""
-    p = OddParams(d, rat(a), rat(b), rat(c))
+    p = OddParams(d, a, b, c)
     if not criterion_odd(d, p.a, p.b, p.c):
         raise ValueError("twist collapse requires an irreducible starting point")
     v = p.module()

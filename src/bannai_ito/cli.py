@@ -124,8 +124,11 @@ def _read_input(path: str) -> str:
 
 def _write_output(text: str, args) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(EXIT_INPUT, f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -123,9 +123,6 @@ class Matrix:
         return Matrix._new(tuple(tuple(a - b for a, b in zip(r, s))
                                  for r, s in zip(self.rows, other.rows)))
 
-    def __neg__(self) -> "Matrix":
-        return Matrix._new(tuple(tuple(-a for a in r) for r in self.rows))
-
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
@@ -539,14 +536,9 @@ def is_squarefree(p: Poly) -> bool:
 
 
 def char_poly(m: Matrix) -> Poly:
-    """Characteristic polynomial det(xI - m), monic, by Faddeev-LeVerrier.
-
-    Triangular matrices short-circuit to the product of (x - diagonal).
-    """
+    """Characteristic polynomial det(xI - m), monic, by Faddeev-LeVerrier."""
     if not m.is_square:
         raise ValueError("characteristic polynomial of non-square matrix")
-    if m.is_upper_triangular() or m.is_lower_triangular():
-        return Poly.from_roots(tuple(m.rows[i][i] for i in range(m.nrows)))
     n = m.nrows
     eye = Matrix.identity(n)
     mk = m
@@ -579,10 +571,9 @@ def min_poly(m: Matrix) -> Poly:
         raise ValueError("minimal polynomial of non-square matrix")
     n = m.nrows
     result = Poly((1,))
-    for i in range(n):
+    for e in Matrix.identity(n).rows:
         if result.degree == n:
             break
-        e = tuple(_F1 if j == i else _F0 for j in range(n))
         result = result.lcm(_vector_annihilator(m, e))
     return result
 

@@ -105,28 +105,21 @@ def ladder_vector(tv: TruncatedVerma, i: int, j: int) -> Vector:
     """
     if not (0 <= i <= j <= tv.n - 2):
         raise ValueError(f"need 0 <= i <= j <= n-2, got i={i}, j={j}, n={tv.n}")
-    m_i = tuple(Fraction(1) if k == i else Fraction(0) for k in range(tv.n))
-    v = shifted_walk(tv.X, m_i, [tv.table.theta(h) for h in range(i, j + 1)])[-1]
-    expected = tuple(Fraction(1) if k == j + 1 else Fraction(0) for k in range(tv.n))
-    if v != expected:
+    m = Matrix.identity(tv.n).rows
+    v = shifted_walk(tv.X, m[i], [tv.table.theta(h) for h in range(i, j + 1)])[-1]
+    if v != m[j + 1]:
         raise CertificateError("ladder identity broke inside the valid window")
     return v
 
 
 def _check_premises(t: SequenceTable, v_mod: BIModule, v: Vector) -> None:
-    x, y = v_mod.X, v_mod.Y
     if not any(v):
         raise PremiseViolated("highest_weight", "seed vector is zero")
-    lhs = y.matvec(v)
-    th0 = t.theta_star(0)
-    if lhs != tuple(th0 * c for c in v):
+    th0, th, th1, phi1 = t.theta_star(0), t.theta(0), t.theta_star(1), t.phi_upper(1)
+    if any(shifted_walk(v_mod.Y, v, [th0])[1]):
         raise PremiseViolated("highest_weight", f"Y v != {th0} v")
-    th = t.theta(0)
-    w = tuple(p - th * q for p, q in zip(x.matvec(v), v))
-    th1 = t.theta_star(1)
-    lhs2 = tuple(p - th1 * q for p, q in zip(y.matvec(w), w))
-    phi1 = t.phi_upper(1)
-    if lhs2 != tuple(phi1 * c for c in v):
+    w = shifted_walk(v_mod.X, v, [th])[1]
+    if shifted_walk(v_mod.Y, w, [th1])[1] != tuple(phi1 * c for c in v):
         raise PremiseViolated("second_order", f"(Y - {th1})(X - {th}) v != {phi1} v")
     report = check_relations(v_mod)
     expected = dict(zip(("kappa", "lambda", "mu"), t.central_scalars()))
@@ -138,11 +131,13 @@ def _check_premises(t: SequenceTable, v_mod: BIModule, v: Vector) -> None:
 
 def universal_map(delta: RatLike, a: RatLike, b: RatLike, c: RatLike,
                   v_mod: BIModule, v, count: int) -> tuple[Vector, ...]:
-    """Images of the first `count` ladder vectors under the universal map.
+    """Images of the first `count` >= 1 ladder vectors under the universal map.
 
     Checks the premises (raising PremiseViolated naming the first failure),
     then returns (v, (X - theta_0) v, (X - theta_1)(X - theta_0) v, ...).
     """
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
     t = SequenceTable(rat(delta), rat(a), rat(b), rat(c))
     v = vec(v)
     _check_premises(t, v_mod, v)

@@ -23,7 +23,7 @@ from bannai_ito.classify import ClassCoordinates, IdentificationFailed, \
     intertwiner_space, invariants, \
     lowering_matrix, odd_twist_check, oracle_irreducible, orbit_canonical, \
     verify_invariant_subspace
-from bannai_ito.exactlinalg import Matrix, kernel_basis, rref, spin
+from bannai_ito.exactlinalg import Matrix, kernel_basis, rational_spectrum, rref, spin
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 
@@ -215,6 +215,18 @@ def test_oracle_spins_fat_eigenspaces_of_direct_sums(monkeypatch, d):
         assert verdict.is_reducible
         assert verdict.detail.startswith("an eigenvector in the kernel of Y - ")
         assert verify_invariant_subspace(s, verdict.witness)
+
+
+@pytest.mark.parametrize("b, text", [
+    (F(1, 2), "spin of the kernel of Y - (-1) is not a submodule"),
+    (F(-1, 2), "dual-spin annihilator for the kernel of Y - (-1) is not a submodule"),
+])
+def test_norton_witness_certificate_texts(monkeypatch, b, text):
+    # a rejected primal (b = 1/2) or dual (b = -1/2) Norton witness names its source
+    monkeypatch.setattr(classify, "verify_invariant_subspace", lambda v_mod, basis: False)
+    with pytest.raises(CertificateError) as exc:
+        oracle_irreducible(even_module(1, 0, b, F(1, 2)))
+    assert str(exc.value) == text
 
 
 def test_oracle_x_shift_norton_irreducible():
@@ -457,6 +469,28 @@ def test_identify_round_trip_with_twists():
         assert coords.family == "even"
         assert coords.twist == sign
         assert coords.params == (F(1), F(0), F(1))
+
+
+def test_identify_computes_one_spectrum_of_a_conjugate(monkeypatch):
+    # the target family module goes first in are_isomorphic, so its
+    # bidiagonal Y is read off the diagonal and only the oracle pays for the
+    # spectrum of the conjugate's dense Y
+    calls = []
+
+    def counting_rational_spectrum(m):
+        calls.append(m.is_upper_triangular() or m.is_lower_triangular())
+        return rational_spectrum(m)
+
+    e = even_module(3, F(1, 3), F(2, 7), F(5, 11))
+    p_inv = _P4.inverse()
+    mod = BIModule(_P4 * e.X * p_inv, _P4 * e.Y * p_inv, e.kappa, e.lam, e.mu)
+    expected = ClassCoordinates("even", 3, TwistSign(1, 1), (F(1, 3), F(2, 7), F(5, 11)))
+    monkeypatch.setattr(classify, "rational_spectrum", counting_rational_spectrum)
+    assert identify(mod, assume_irreducible=True) == expected
+    assert calls.count(False) == 0
+    calls.clear()
+    assert identify(mod) == expected
+    assert calls.count(False) == 1
 
 
 def test_identify_recovers_orbit_representative():

@@ -88,6 +88,13 @@ def test_build_matches_fixture(capsys, tmp_path):
     assert out.read_text() == fixture_text
 
 
+def test_out_to_unwritable_path_exits_2(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    code, _, err = run_cli(capsys, "fixture", "exampleE", "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: cannot write")
+
+
 def test_build_one_dimensional(capsys):
     code, out, _ = run_cli(capsys, "build", "--family", "odd", "--d", "0",
                            "--a", "2", "--b", "3", "--c", "5", "--quiet")

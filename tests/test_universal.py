@@ -62,6 +62,12 @@ def test_universal_map_images():
     assert images == ((F(1), F(0)), (F(0), F(1)), (F(0), F(0)), (F(0), F(0)))
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_universal_map_rejects_empty_count(count):
+    with pytest.raises(ValueError, match="count >= 1"):
+        universal_map(1, 1, 1, 1, even_module(1, 1, 1, 1), (1, 0), count=count)
+
+
 def test_universal_map_premise_highest_weight():
     v_mod = even_module(1, 1, 1, 1)
     with pytest.raises(PremiseViolated) as exc:
