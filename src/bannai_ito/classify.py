@@ -233,6 +233,10 @@ def lowering_matrix(d: int, a: RatLike, b: RatLike, c: RatLike,
 
 
 def _lowering_closed(t, d: int) -> Matrix:
+    # gaps[h - 1] = theta*_0 - theta*_{d-h+1}, lower[h - 1] = phi_lower(h), upper[h] = phi_upper(h)
+    gaps = [t.theta_star(0) - t.theta_star(d - h + 1) for h in range(1, d + 1)]
+    lower = [t.phi_lower(h) for h in range(1, d + 1)]
+    upper = [t.phi_upper(h) for h in range(d + 1)]
     rows = []
     for i in range(d + 1):
         row = []
@@ -240,12 +244,10 @@ def _lowering_closed(t, d: int) -> Matrix:
             if j > i or (i % 2 == 0 and j % 2 == 1):
                 row.append(_F0)
                 continue
-            val = math.prod((t.theta_star(0) - t.theta_star(d - h + 1)
-                             for h in range(1, i - j + 1)), start=_F1)
-            val *= math.prod((t.phi_lower(h) for h in range(1, d - i + 1)), start=_F1)
-            val *= math.prod((t.phi_upper(2 * h - 1) for h in range(1, (j + 1) // 2 + 1)),
-                             start=_F1)
-            val *= math.prod((t.phi_upper(2 * (i // 2 - h + 1)) for h in range(1, j // 2 + 1)),
+            val = math.prod(gaps[:i - j], start=_F1)
+            val *= math.prod(lower[:d - i], start=_F1)
+            val *= math.prod((upper[2 * h - 1] for h in range(1, (j + 1) // 2 + 1)), start=_F1)
+            val *= math.prod((upper[2 * (i // 2 - h + 1)] for h in range(1, j // 2 + 1)),
                              start=_F1)
             row.append(val)
         rows.append(row)

@@ -1,16 +1,19 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything in this module is deterministic and exact: entries are
-``fractions.Fraction`` and no floating point is ever involved.  One
-Gauss-Jordan engine, ``RrefAccumulator``, does every row elimination (rref,
-rank, kernel, inverse, det, spin, Krylov annihilators).  Matrices are immutable;
-sizes stay small (a few dozen rows), so the naive cubic algorithms are the
-right tool.
+``fractions.Fraction`` and no floating point is ever involved.  Matrices are
+immutable and dense, but products and ``matvec`` run over a cached sparse
+view of the rows, so the bidiagonal and tridiagonal family matrices cost
+only their nonzeros.  One Gauss-Jordan engine, ``RrefAccumulator``, does
+every row elimination (rref, rank, kernel, inverse, det, spin, Krylov
+annihilators); it eliminates fraction-free over integer rows and hands back
+``Fraction`` rows at its boundary.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -35,9 +38,14 @@ def vec(entries: Iterable[RatLike]) -> Vector:
 
 
 class Matrix:
-    """Immutable dense matrix over Fraction, stored row-major."""
+    """Immutable dense matrix over Fraction, stored row-major.
 
-    __slots__ = ("rows",)
+    Products and ``matvec`` read ``_nonzeros``, each row's (column, value)
+    pairs of nonzero entries, built on first use and cached; it is not part
+    of ``==`` or ``hash``.
+    """
+
+    __slots__ = ("rows", "_nonzeros")
 
     def __init__(self, rows: Iterable[Iterable[RatLike]]):
         rs = tuple(tuple(rat(x) for x in row) for row in rows)
@@ -123,16 +131,28 @@ class Matrix:
         return Matrix._new(tuple(tuple(a - b for a, b in zip(r, s))
                                  for r, s in zip(self.rows, other.rows)))
 
+    def _sparse(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        try:
+            return self._nonzeros
+        except AttributeError:
+            nz = tuple(tuple((j, a) for j, a in enumerate(r) if a) for r in self.rows)
+            object.__setattr__(self, "_nonzeros", nz)
+            return nz
+
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-            cols = tuple(zip(*other.rows))
-            # the `if a` guard skips structural zeros; bidiagonal operands are common
-            return Matrix._new(tuple(
-                tuple(sum((a * b for a, b in zip(row, col) if a), _F0) for col in cols)
-                for row in self.rows))
-        return Matrix._new(tuple(tuple(rat(other) * a for a in r) for r in self.rows))
+            right, out = other._sparse(), []
+            for row in self._sparse():
+                acc = [_F0] * other.ncols
+                for j, a in row:
+                    for k, b in right[j]:
+                        acc[k] += a * b
+                out.append(tuple(acc))
+            return Matrix._new(tuple(out))
+        s = rat(other)
+        return Matrix._new(tuple(tuple(s * a for a in r) for r in self.rows))
 
     def __rmul__(self, other: RatLike) -> "Matrix":
         return self.__mul__(other)
@@ -140,8 +160,7 @@ class Matrix:
     def matvec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum((a * b for a, b in zip(row, v) if a), _F0)
-                     for row in self.rows)
+        return tuple(sum((a * v[j] for j, a in row), _F0) for row in self._sparse())
 
     @property
     def T(self) -> "Matrix":
@@ -217,52 +236,65 @@ def shifted_walk(m: Matrix, v: Sequence[Fraction],
 class RrefAccumulator:
     """Incrementally maintained rref basis of a growing span of row vectors.
 
-    Row operations skip the zero entries of the row being subtracted: the
-    family matrices are bidiagonal, and the identity blocks appended by
-    ``inverse`` and ``_vector_annihilator`` stay mostly zero.
+    Elimination is fraction-free: each row is kept as a primitive integer
+    vector (content divided out with gcd, pivot positive, zero in every other
+    pivot column), i.e. the rref row times its pivot entry.  An incoming
+    vector is scaled to integers once, by the lcm of its denominators;
+    ``rows`` divides by the pivots and gives the rref over Fraction.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
+        self._rows: list[list[int]] = []
         self.pivots: list[int] = []
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
-    def reduce(self, v: Sequence[Fraction]) -> list[Fraction]:
-        w = list(v)
-        for row, c in zip(self.rows, self.pivots):
-            if w[c]:
-                f = w[c]
-                w = [a - f * b if b else a for a, b in zip(w, row)]
-        return w
+    def _reduce(self, v: Sequence[Fraction]) -> tuple[list[int], int]:
+        """(s*w, s): w is v reduced against every row, so zero in their pivot
+        columns, and s > 0 is the scale that makes s*w integral."""
+        s = math.lcm(*(x.denominator for x in v))
+        u = [x.numerator * (s // x.denominator) for x in v]
+        for row, c in zip(self._rows, self.pivots):
+            if u[c]:
+                g = math.gcd(row[c], u[c])
+                p, f = row[c] // g, u[c] // g
+                u = [p * a - f * b for a, b in zip(u, row)]
+                s *= p
+        return u, s
 
     def add(self, v: Sequence[Fraction]) -> Fraction:
         """Add v to the span.  Returns 0 if v was already in it; otherwise the
         pivot v was divided by, negated when the new row lands above an odd
         number of existing rows (so the signed pivots multiply to the det)."""
-        w = self.reduce(v)
-        c = next((j for j, a in enumerate(w) if a), None)
+        u, s = self._reduce(v)
+        c = next((j for j, a in enumerate(u) if a), None)
         if c is None:
             return _F0
-        p = w[c]
-        if p != _F1:
-            w = [a / p for a in w]
-        for row in self.rows:
+        p = Fraction(u[c], s)
+        g = math.gcd(*u) if u[c] > 0 else -math.gcd(*u)
+        u = [a // g for a in u]
+        for row in self._rows:
             if row[c]:
-                f = row[c]
-                row[:] = [a - f * b if b else a for a, b in zip(row, w)]
+                g = math.gcd(u[c], row[c])
+                q, f = u[c] // g, row[c] // g
+                row[:] = [q * a - f * b for a, b in zip(row, u)]
+                g = math.gcd(*row)
+                row[:] = [a // g for a in row]
         at = next((k for k, pc in enumerate(self.pivots) if pc > c), len(self.pivots))
-        self.rows.insert(at, w)
+        self._rows.insert(at, u)
         self.pivots.insert(at, c)
-        return -p if (len(self.rows) - 1 - at) % 2 else p
+        return -p if (len(self._rows) - 1 - at) % 2 else p
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return not any(self.reduce(v))
+        return not any(self._reduce(v)[0])
 
-    def basis(self) -> tuple[Vector, ...]:
-        return tuple(tuple(r) for r in self.rows)
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        """The rref rows over Fraction, in pivot order."""
+        return tuple(tuple(Fraction(a, r[c]) if a else _F0 for a in r)
+                     for r, c in zip(self._rows, self.pivots))
 
 
 def _row_reduce(rows: Iterable[Sequence[Fraction]], ncols: int) -> RrefAccumulator:
@@ -279,7 +311,7 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row echelon form (zero rows at the bottom) and rank."""
     acc = _row_reduce(m.rows, m.ncols)
     zero = (_F0,) * m.ncols
-    rows = acc.basis() + (zero,) * (m.nrows - len(acc))
+    rows = acc.rows + (zero,) * (m.nrows - len(acc))
     return Matrix._new(rows), len(acc)
 
 
@@ -315,14 +347,14 @@ def spin(vectors: Sequence[Sequence[RatLike]], operators: Sequence[Matrix]) -> t
         raise ValueError("need at least one operator")
     ncols = operators[0].ncols
     acc = RrefAccumulator(ncols)
-    queue = [vec(v) for v in vectors if acc.add(vec(v))]
+    queue = deque(v for v in map(vec, vectors) if acc.add(v))
     while queue and len(acc) < ncols:
-        v = queue.pop(0)
+        v = queue.popleft()
         for op in operators:
             w = op.matvec(v)
             if acc.add(w):
                 queue.append(w)
-    return acc.basis()
+    return acc.rows
 
 
 class Poly:
@@ -590,5 +622,6 @@ def _vector_annihilator(m: Matrix, v: Vector) -> Poly:
     while True:
         acc.add(w + tuple(_F1 if j == k else _F0 for j in range(n + 1)))
         if acc.pivots[-1] >= n:
-            return Poly(acc.rows[-1][n:]).monic()
+            # the integer row is a multiple of the rref row; monic() drops the scale
+            return Poly(acc._rows[-1][n:]).monic()
         w, k = m.matvec(w), k + 1

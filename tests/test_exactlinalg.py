@@ -16,6 +16,7 @@ from bannai_ito.exactlinalg import (
     Matrix,
     Poly,
     Roots,
+    RrefAccumulator,
     anticommutator,
     char_poly,
     is_squarefree,
@@ -75,6 +76,25 @@ def gauss_jordan(rows):
     return rows, pivots
 
 
+def det_cofactor(rows):
+    """Determinant by first-column cofactor expansion (constant Poly entries)."""
+    p = poly_det([[Poly((x,)) for x in row] for row in rows])
+    return p.coeffs[0] if p.coeffs else F(0)
+
+
+def inverse_oracle(m):
+    """Right half of the Gauss-Jordan form of [m | I], or None if m is singular."""
+    n = m.nrows
+    eye = Matrix.identity(n).rows
+    rows, pivots = gauss_jordan([r + e for r, e in zip(m.rows, eye)])
+    return Matrix([r[n:] for r in rows]) if pivots == list(range(n)) else None
+
+
+def textbook_product(a, b):
+    return [[sum((a[i, j] * b[j, k] for j in range(a.ncols)), F(0)) for k in range(b.ncols)]
+            for i in range(a.nrows)]
+
+
 def kernel_oracle(m):
     rows, pivots = gauss_jordan(m.rows)
     basis = []
@@ -102,6 +122,55 @@ def min_poly_oracle(m):
 # --- strategies ---------------------------------------------------------------
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+# small rationals mixed with numerators and denominators of up to 10 digits
+mixed_heights = st.one_of(
+    rationals, st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**10))
+
+# which entries (i, j) an operand of each shape may hold nonzero
+SHAPES = {
+    "dense": lambda i, j: True,
+    "upper bidiagonal": lambda i, j: j - i in (0, 1),
+    "lower bidiagonal": lambda i, j: i - j in (0, 1),
+    "tridiagonal": lambda i, j: abs(i - j) <= 1,
+    "zero": lambda i, j: False,
+}
+
+
+def shaped_matrices(nrows, ncols):
+    def build(case):
+        shape, entries = case
+        return Matrix([[entries[i][j] if SHAPES[shape](i, j) else 0 for j in range(ncols)]
+                       for i in range(nrows)])
+    return st.tuples(
+        st.sampled_from(sorted(SHAPES)),
+        st.lists(st.lists(mixed_heights, min_size=ncols, max_size=ncols),
+                 min_size=nrows, max_size=nrows),
+    ).map(build)
+
+
+@st.composite
+def product_operands(draw, max_n=5):
+    """(a, b, v): an r x k and a k x c operand of independently drawn shapes,
+    and a vector of length c."""
+    r, k, c = (draw(st.integers(min_value=1, max_value=max_n)) for _ in range(3))
+    return (draw(shaped_matrices(r, k)), draw(shaped_matrices(k, c)),
+            tuple(draw(st.lists(mixed_heights, min_size=c, max_size=c))))
+
+
+@st.composite
+def spanning_rows(draw, max_n=5):
+    """(ncols, rows): independent-looking rows of mixed heights, shuffled
+    together with combinations of them (already in their span) and zero rows."""
+    ncols = draw(st.integers(min_value=1, max_value=max_n))
+    row = st.lists(mixed_heights, min_size=ncols, max_size=ncols).map(tuple)
+    base = draw(st.lists(row, min_size=1, max_size=max_n))
+    combos = [tuple(sum((cf * r[j] for cf, r in zip(cfs, base)), F(0)) for j in range(ncols))
+              for cfs in draw(st.lists(st.lists(mixed_heights, min_size=len(base),
+                                                max_size=len(base)), max_size=3))]
+    zeros = [(F(0),) * ncols] * draw(st.integers(min_value=0, max_value=2))
+    return ncols, draw(st.permutations(base + combos + zeros))
 
 
 def square_matrices(max_n=4):
@@ -423,9 +492,64 @@ def test_from_roots_recovered(roots):
 def test_spin_is_invariant(m):
     seed = tuple(F(1) if i == 0 else F(0) for i in range(m.nrows))
     basis = spin([seed], [m])
-    from bannai_ito.exactlinalg import RrefAccumulator
     acc = RrefAccumulator(m.nrows)
     for b in basis:
         acc.add(b)
     for b in basis:
         assert acc.contains(m.matvec(b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_operands())
+def test_products_match_textbook_sums(case):
+    a, b, v = case
+    fresh_a, fresh_b = Matrix(a.rows), Matrix(b.rows)
+    ab = a * b
+    assert ab == Matrix(textbook_product(a, b))
+    assert b.matvec(v) == tuple(sum((b[i, j] * v[j] for j in range(b.ncols)), F(0))
+                                for i in range(b.nrows))
+    assert all(type(x) is F for row in ab.rows for x in row)
+    assert all(type(x) is F for x in b.matvec(v))
+    # the cached sparse views now exist on a and b; equality and hash ignore them
+    assert a == fresh_a and hash(a) == hash(fresh_a)
+    assert b == fresh_b and hash(b) == hash(fresh_b)
+    assert fresh_a * fresh_b == ab
+
+
+def _all_fractions(rows):
+    return all(type(x) is F for row in rows for x in row)
+
+
+@settings(max_examples=120, deadline=None)
+@given(spanning_rows())
+@example((2, [(F(0), F(0)), (F(0), F(0))]))
+@example((3, [(F(1, 10**12 + 39), F(10**30, 7), F(-3)), (F(0),) * 3,
+              (F(2, 10**12 + 39), F(2 * 10**30, 7), F(-6)), (F(5, 9), F(0), F(1, 2**61 - 1))]))
+def test_accumulator_matches_gauss_jordan(case):
+    ncols, rows = case
+    m = Matrix(rows)
+    gj_rows, pivots = gauss_jordan(rows)
+    red, rank = rref(m)
+    assert (red, rank) == (Matrix(gj_rows), len(pivots))
+    assert kernel_basis(m) == kernel_oracle(m)
+    acc = RrefAccumulator(ncols)
+    for r in rows:
+        acc.add(r)
+    assert acc.rows == tuple(tuple(r) for r in gj_rows[:rank])
+    assert acc.pivots == pivots
+    probes = list(rows) + [(F(0),) * ncols, tuple(F(j + 1, 3) for j in range(ncols))]
+    for v in probes:
+        assert acc.contains(v) == (len(gauss_jordan(list(rows) + [v])[1]) == rank)
+    square = Matrix((list(rows) + [(F(0),) * ncols] * ncols)[:ncols])
+    assert square.det() == det_cofactor(square.rows)
+    inv = inverse_oracle(square)
+    if inv is None:
+        with pytest.raises(ValueError):
+            square.inverse()
+    else:
+        assert square.inverse() == inv
+        assert _all_fractions(square.inverse().rows)
+    assert type(square.det()) is F
+    assert _all_fractions(red.rows) and _all_fractions(kernel_basis(m))
+    assert _all_fractions(acc.rows)
+    assert _all_fractions(spin(rows, [square]))
