@@ -15,8 +15,10 @@ A third certificate for the even family is the lowering matrix, computable
 three unrelated ways (operator products, a two-term recurrence, a closed-form
 product); it is nonsingular exactly when the criterion holds.
 
-Isomorphism classes are decided by exact intertwiners, and ``identify`` maps
-an irreducible module back to family coordinates: a twist sign pair plus the
+Isomorphism classes are decided by exact intertwiners from one routine: a
+graph spin of Y-eigenvectors (then unit vectors) with their allowed images in
+V + W + ... + W gives the whole intertwiner space.  ``identify`` maps an
+irreducible module back to family coordinates: a twist sign pair plus the
 canonical (all nonnegative) parameter orbit representative for even dimension,
 exact parameters for odd dimension.
 """
@@ -56,8 +58,9 @@ class IndeterminateIrreducibility(IdentificationFailed):
 
 
 class IndeterminateIsomorphism(Exception):
-    """Both modules are reducible and the bounded search over the intertwiner
-    space found no invertible element; the question is left open."""
+    """The intertwiner space has dimension >= 2 (so both modules are
+    reducible) and the bounded search over it found no invertible element;
+    the question is left open."""
 
 
 # --- irreducibility: criterion route ------------------------------------------
@@ -311,71 +314,84 @@ def a_flip_basis_matrices(d: int, a: RatLike, b: RatLike, c: RatLike) -> FlipBas
 
 # --- intertwiners and isomorphism -----------------------------------------------
 
-def intertwiner_space(v_mod: BIModule, w_mod: BIModule) -> tuple[Matrix, ...]:
-    """Basis of {T : T X_V = X_W T and T Y_V = Y_W T} (maps V -> W).
+def _direct_sum(*blocks: Matrix) -> Matrix:
+    widths = [b.ncols for b in blocks]
+    return Matrix([(_F0,) * sum(widths[:i]) + r + (_F0,) * sum(widths[i + 1:])
+                   for i, b in enumerate(blocks) for r in b.rows])
 
-    Central characters must match for a nonzero intertwiner to exist, so a
-    kappa mismatch short-circuits to the empty tuple.
+
+def _hom(v_mod: BIModule, w_mod: BIModule) -> tuple[tuple[Matrix, ...], bool]:
+    """Basis of Hom(V, W) by one graph spin, and whether every seeding
+    Y-eigenspace has the same dimension in V and in W.
+
+    Seeds are the kernel vectors of Y_V - theta, theta increasing, whose
+    images must lie in ker(Y_W - theta); then unit vectors, whose images are
+    free.  A seed already in the V-span is skipped, and seeding stops once
+    the seeds generate V.  Seed i with d_i allowed images is spun as
+    (s_i; its images, each in its own W slot) in V + W^u, u = sum d_i: the
+    rref rows pivoting in V read [I | A_1 ... A_u], the others
+    (0 | R_1 ... R_u) are the relations sum c_j R_j = 0, and each solution c
+    gives T = sum c_j A_j.  The basis is the one kernel_basis gives for the
+    linear equations on T's row-major entries.
     """
+    n, m = v_mod.dim, w_mod.dim
+    eye_w, agree = Matrix.identity(m), []
+
+    def candidates():
+        try:
+            for th, _, kv in _eigenspaces(v_mod.Y, "Y"):
+                kw = kernel_basis(w_mod.Y - th * eye_w)
+                agree.append(len(kv) == len(kw))
+                yield from ((s, kw) for s in kv)
+        except NonSplitSpectrum:
+            pass
+        yield from ((e, eye_w.rows) for e in Matrix.identity(n).rows)
+
+    seeds, head, pad = [], [], (_F0,) * m
+    for s, kw in candidates():
+        # head: (pivot, V-part) of the rows pivoting in V, an rref of the V-span
+        if all(x == sum((s[p] * r[j] for p, r in head), _F0) for j, x in enumerate(s)):
+            continue
+        seeds.append((s, kw))
+        slots = [(i, w) for i, (_, images) in enumerate(seeds) for w in images]
+        lifted = [s_i + sum((w if k == i else pad for k, w in slots), ())
+                  for i, (s_i, _) in enumerate(seeds)]
+        u = len(slots)
+        graph = spin(lifted, [_direct_sum(v_mod.X, *[w_mod.X] * u),
+                              _direct_sum(v_mod.Y, *[w_mod.Y] * u)])
+        head = [(next(j for j, x in enumerate(r) if x), r[:n]) for r in graph if any(r[:n])]
+        if len(head) == n:
+            break
+    eqs = [[r[n + j * m + p] for j in range(u)] for r in graph[n:] for p in range(m)]
+    acc = RrefAccumulator(n * m)
+    for c in (kernel_basis(Matrix(eqs)) if eqs else Matrix.identity(u).rows):
+        t = [sum((cj * graph[k][n + j * m + p] for j, cj in enumerate(c) if cj), _F0)
+             for p in range(m) for k in range(n)]
+        acc.add(t[::-1])
+    # the rref of the reversed entries, reversed back, is kernel_basis's basis
+    return tuple(Matrix([flat[p * n:(p + 1) * n] for p in range(m)])
+                 for flat in (r[::-1] for r in reversed(acc.rows))), all(agree)
+
+
+def intertwiner_space(v_mod: BIModule, w_mod: BIModule) -> tuple[Matrix, ...]:
+    """Basis of {T : T X_V = X_W T and T Y_V = Y_W T} (maps V -> W), from
+    the graph spin of ``_hom``; a kappa mismatch rules out a nonzero T."""
     if v_mod.kappa != w_mod.kappa:
         return ()
-    n, m = v_mod.dim, w_mod.dim
-    rows = []
-    for a_v, a_w in ((v_mod.X, w_mod.X), (v_mod.Y, w_mod.Y)):
-        for i in range(m):
-            for j in range(n):
-                row = [_F0] * (m * n)
-                for s in range(n):
-                    row[i * n + s] += a_v[s, j]
-                for r in range(m):
-                    row[r * n + j] -= a_w[i, r]
-                rows.append(row)
-    kernel = kernel_basis(Matrix(rows))
-    return tuple(Matrix([k[r * n:(r + 1) * n] for r in range(m)]) for k in kernel)
-
-
-def _direct_sum(a: Matrix, b: Matrix) -> Matrix:
-    pad_a, pad_b = (_F0,) * b.ncols, (_F0,) * a.ncols
-    return Matrix([r + pad_a for r in a.rows] + [pad_b + r for r in b.rows])
-
-
-def _kernel_vector_intertwiner(v_mod: BIModule, w_mod: BIModule):
-    """Fast isomorphism decision through a shared nullity-1 eigenvalue of Y.
-
-    Returns (True, T) / (False, None) when conclusive, or None to fall back.
-    Any isomorphism maps ker(Y_V - lam) onto ker(Y_W - lam).  When both are
-    lines, spin (k_V, k_W) under X_V + X_W and Y_V + Y_W: the spin is the
-    graph of a map T with T k_V = k_W exactly when its rref basis is
-    [I | T^T].  T is then the only candidate up to scale, so verifying it
-    decides the question; a wider spin rules out every isomorphism.
-    """
-    n = v_mod.dim
-    try:
-        lam, kv = next((lam, kv) for lam, _, kv in _eigenspaces(v_mod.Y, "Y") if len(kv) == 1)
-    except (NonSplitSpectrum, StopIteration):
-        return None
-    kw = kernel_basis(w_mod.Y - lam * Matrix.identity(n))
-    if len(kw) != 1:
-        return (False, None)  # isomorphisms preserve eigen-nullities
-    graph = spin([kv[0] + kw[0]], [_direct_sum(v_mod.X, w_mod.X),
-                                   _direct_sum(v_mod.Y, w_mod.Y)])
-    # rref rows sort by pivot, so the V-part is full iff row n-1 pivots at n-1
-    if len(graph) < n or not graph[n - 1][n - 1]:
-        return None  # seed generates a proper submodule; go the slow way
-    if len(graph) > n:
-        return (False, None)
-    t = certify_intertwiner(Matrix.from_columns([row[n:] for row in graph]),
-                            v_mod, w_mod, "kernel-line spin graph")
-    return (True, t) if t.rank() == n else (False, None)
+    return tuple(certify_intertwiner(t, v_mod, w_mod, "intertwiner-space element")
+                 for t in _hom(v_mod, w_mod)[0])
 
 
 def are_isomorphic(v_mod: BIModule, w_mod: BIModule) -> tuple[bool, Matrix | None]:
     """Decide module isomorphism; on success the witness is an exact invertible
     intertwiner T with T X_V = X_W T and T Y_V = Y_W T.
 
-    Raises IndeterminateIsomorphism only when both modules are reducible and
-    the bounded search over a nonzero intertwiner space finds nothing
-    invertible.
+    After the cheap invariants, the intertwiner space comes from one graph
+    spin (``_hom``).  Not isomorphic when a seeding Y-eigenspace differs in
+    dimension between V and W, or when the space is zero or a line spanned
+    by a singular map.  Otherwise its basis, then small combinations, are
+    searched; IndeterminateIsomorphism is raised only when a space of
+    dimension >= 2 yields nothing invertible.
     """
     if v_mod.dim != w_mod.dim or v_mod.kappa != w_mod.kappa:
         return (False, None)
@@ -383,11 +399,8 @@ def are_isomorphic(v_mod: BIModule, w_mod: BIModule) -> tuple[bool, Matrix | Non
         return (True, Matrix.identity(v_mod.dim))
     if invariants(v_mod) != invariants(w_mod):
         return (False, None)
-    fast = _kernel_vector_intertwiner(v_mod, w_mod)
-    if fast is not None:
-        return fast
-    space = intertwiner_space(v_mod, w_mod)
-    if not space:
+    space, nullities_agree = _hom(v_mod, w_mod)
+    if not nullities_agree or not space:
         return (False, None)
     # the basis elements, then combinations of the first three with at least
     # two nonzero coefficients in (0, +-1, +-2)
@@ -398,6 +411,8 @@ def are_isomorphic(v_mod: BIModule, w_mod: BIModule) -> tuple[bool, Matrix | Non
     for t in itertools.chain(space, combos):
         if t.rank() == v_mod.dim:
             return (True, certify_intertwiner(t, v_mod, w_mod, "intertwiner-space element"))
+    if len(space) == 1:
+        return (False, None)  # every intertwiner is a multiple of one singular map
     raise IndeterminateIsomorphism(
         "nonzero intertwiner space but no invertible element found; "
         "both modules are reducible")
@@ -489,7 +504,7 @@ def identify(v_mod: BIModule, *, assume_irreducible: bool = False) -> ClassCoord
             raise NotRationalFamily("central-scalar sums are not rational squares")
         family, sign = "even", TwistSign(ea, eb)
         target, criterion = twist(even_module(d, *params), sign), criterion_even
-    # target first: its bidiagonal Y spares the kernel-line path a second spectrum of v_mod
+    # target first: its bidiagonal Y seeds the intertwiner spin, sparing a second spectrum of v_mod
     ok, _ = are_isomorphic(target, v_mod)
     if not ok:
         raise IdentificationFailed(f"no invertible intertwiner to the {family} family")

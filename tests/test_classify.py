@@ -17,13 +17,13 @@ from bannai_ito import classify
 from bannai_ito.bimodule import BIModule, CertificateError, TwistSign, even_module, \
     example_even, example_odd, odd_module, twist
 from bannai_ito.classify import ClassCoordinates, IdentificationFailed, \
-    IndeterminateIsomorphism, NonSplitSpectrum, NotRationalFamily, \
-    _kernel_vector_intertwiner, a_flip_basis_matrices, \
+    IndeterminateIsomorphism, NonSplitSpectrum, NotRationalFamily, a_flip_basis_matrices, \
     are_isomorphic, criterion_even, criterion_odd, criterion_verdict, identify, \
     intertwiner_space, invariants, \
     lowering_matrix, odd_twist_check, oracle_irreducible, orbit_canonical, \
     verify_invariant_subspace
-from bannai_ito.exactlinalg import Matrix, kernel_basis, rational_spectrum, rref, spin
+from bannai_ito.exactlinalg import Matrix, RrefAccumulator, kernel_basis, \
+    rational_spectrum, rref, spin
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 
@@ -394,24 +394,152 @@ def test_are_isomorphic_indeterminate():
         are_isomorphic(v, w)
 
 
-def test_kernel_vector_intertwiner_outcomes(monkeypatch):
-    # plain operator pairs, not modules: each exercises one exit of the spin
-    # of (k_V, k_W), where k = e_0 spans ker Y for both
+def test_are_isomorphic_singular_line_is_not_isomorphic():
+    # Hom(E_1(0, 1, 1), E_1(0, -1, 1)) is spanned by one singular map, so
+    # no isomorphism exists; the bounded search alone cannot tell
+    v, w = even_module(1, 0, 1, 1), even_module(1, 0, -1, 1)
+    space = intertwiner_space(v, w)
+    assert len(space) == 1 and space[0].rank() < 2
+    assert are_isomorphic(v, w) == (False, None)
+
+
+def test_are_isomorphic_seed_eigenspace_nullities_differ():
+    # ker Y_V is a line (a Jordan block at 0), ker Y_W a plane: no isomorphism,
+    # although Hom is 3-dimensional and holds nothing invertible
+    z = Matrix.zero(3)
+    v = BIModule(z, Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 1]]), F(0), F(0), F(0))
+    w = BIModule(z, Matrix.diagonal([0, 0, 1]), F(0), F(0), F(0))
+    assert len(intertwiner_space(v, w)) == 3
+    assert are_isomorphic(v, w) == (False, None)
+
+
+def test_intertwiner_spin_outcomes(monkeypatch):
+    # plain operator pairs, not modules: e_0 spans ker Y on both sides, so
+    # (e_0; e_0) is the first seed of the graph spin
     y = Matrix.diagonal([0, 1])
-    v = BIModule(Matrix([[0, 0], [1, 0]]), y, F(0))
-    assert _kernel_vector_intertwiner(v, v) == (True, Matrix.identity(2))
-    # X_W swaps e_0 and e_1: X^2 kills k_V but not k_W, so the spin is wider than n
-    assert _kernel_vector_intertwiner(v, BIModule(Matrix([[0, 1], [1, 0]]), y, F(0))) \
-        == (False, None)
-    # X_W = 0: the spin is the graph of the singular intertwiner e_1 -> 0
-    assert _kernel_vector_intertwiner(v, BIModule(Matrix.zero(2), y, F(0))) == (False, None)
-    # X_V = 0: k_V spans a proper submodule, so the slow path must decide
-    assert _kernel_vector_intertwiner(BIModule(Matrix.zero(2), y, F(0)), v) is None
+    v = BIModule(Matrix([[0, 0], [1, 0]]), y, F(0), F(0), F(0))
+    assert intertwiner_space(v, v) == (Matrix.identity(2),)
+    assert are_isomorphic(v, v) == (True, Matrix.identity(2))
+    # X_W swaps e_0 and e_1: X^2 kills e_0 in V but not in W, so the spin
+    # carries the relation (0 | e_0) and Hom is zero
+    swap = BIModule(Matrix([[0, 1], [1, 0]]), y, F(0), F(0), F(0))
+    assert intertwiner_space(v, swap) == ()
+    assert are_isomorphic(v, swap) == (False, None)
+    # X_W = 0: Hom is the line of the singular map e_0 -> e_0, e_1 -> 0
+    flat = BIModule(Matrix.zero(2), y, F(0), F(0), F(0))
+    assert intertwiner_space(v, flat) == (Matrix.diagonal([1, 0]),)
+    assert are_isomorphic(v, flat) == (False, None)
+    # X_V = 0: e_0 spans a proper submodule, so e_1 seeds the spin as well;
+    # Hom is the line of e_1 -> e_1
+    assert intertwiner_space(flat, v) == (Matrix.diagonal([0, 1]),)
+    assert are_isomorphic(flat, v) == (False, None)
     # a graph that is not invariant must fail its certificate, not read as "no"
     monkeypatch.setattr(classify, "spin", lambda vectors, operators: tuple(
         r + r for r in Matrix.identity(2).rows))
-    with pytest.raises(CertificateError, match="kernel-line spin graph fails to intertwine"):
-        _kernel_vector_intertwiner(v, BIModule(Matrix([[0, 1], [1, 0]]), y, F(0)))
+    for call in (intertwiner_space, are_isomorphic):
+        with pytest.raises(CertificateError,
+                           match=r"intertwiner-space element fails to intertwine \(library bug\)"):
+            call(v, swap)
+
+
+def _dense_hom_system(v_mod, w_mod) -> Matrix:
+    """The 2nm x nm linear system T X_V = X_W T, T Y_V = Y_W T in the
+    row-major entries of T: an oracle for the graph spin."""
+    n, m = v_mod.dim, w_mod.dim
+    rows = []
+    for a_v, a_w in ((v_mod.X, w_mod.X), (v_mod.Y, w_mod.Y)):
+        for i in range(m):
+            for j in range(n):
+                row = [F(0)] * (m * n)
+                for s in range(n):
+                    row[i * n + s] += a_v[s, j]
+                for r in range(m):
+                    row[r * n + j] -= a_w[i, r]
+                rows.append(row)
+    return Matrix(rows)
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two operator pairs of sizes n, m <= 4 of one kind: small integer,
+    triangular with Jordan-type superdiagonals, diagonal, a Y with a
+    non-split spectrum, or W a unimodular conjugate of V."""
+    kind = draw(st.sampled_from(["integer", "triangular", "diagonal", "nonsplit", "conjugate"]))
+    n = draw(st.integers(1, 4))
+    m = n if kind == "conjugate" else draw(st.integers(1, 4))
+    ints = st.integers(-2, 2)
+
+    def mat(k, shape):
+        cells = {"integer": lambda i, j: draw(ints),
+                 "triangular": lambda i, j: draw(ints) if i == j else
+                 draw(st.integers(0, 1)) if j == i + 1 else 0,
+                 "diagonal": lambda i, j: draw(st.integers(-1, 1)) if i == j else 0}[shape]
+        return Matrix([[cells(i, j) for j in range(k)] for i in range(k)])
+
+    shape = {"conjugate": "triangular", "nonsplit": "diagonal"}.get(kind, kind)
+
+    def pair(k):
+        y = mat(k, shape)
+        if kind == "nonsplit" and k >= 2:
+            # a rotation block: x^2 + 1 has no rational root
+            y = Matrix([[0, -1] + [0] * (k - 2), [1, 0] + [0] * (k - 2)]
+                       + [list(r) for r in y.rows[2:]])
+        return BIModule(mat(k, shape), y, F(0), F(0), F(0))
+
+    v = pair(n)
+    if kind == "conjugate":
+        low = Matrix([[1 if i == j else draw(st.integers(-1, 1)) if j < i else 0
+                       for j in range(n)] for i in range(n)])
+        up = Matrix([[1 if i == j else draw(st.integers(-1, 1)) if j > i else 0
+                      for j in range(n)] for i in range(n)])
+        p = low * up
+        p_inv = p.inverse()
+        return v, BIModule(p * v.X * p_inv, p * v.Y * p_inv, F(0), F(0), F(0))
+    return v, pair(m)
+
+
+@given(operator_pairs())
+@settings(max_examples=150, deadline=None)
+def test_intertwiner_space_matches_dense_system(pair):
+    v, w = pair
+    n, m = v.dim, w.dim
+    expected = tuple(Matrix([k[r * n:(r + 1) * n] for r in range(m)])
+                     for k in kernel_basis(_dense_hom_system(v, w)))
+    assert intertwiner_space(v, w) == expected
+
+
+def _direct_sum_pair(d: int) -> tuple[BIModule, BIModule]:
+    """V + V and P (V + V') P^-1, V = E_d(1/3, 2/7, 5/11), V' its a-flip
+    partner, P = (I + N^T)(I - N) for the shift N: an isomorphic pair with
+    a 4-dimensional Hom."""
+    a, b, c = F(1, 3), F(2, 7), F(5, 11)
+    v, flip = even_module(d, a, b, c), even_module(d, -a, b, c)
+    n = 2 * (d + 1)
+    shift = Matrix([[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)])
+    p = (Matrix.identity(n) + shift.T) * (Matrix.identity(n) - shift)
+    p_inv = p.inverse()
+    x, y = classify._direct_sum(v.X, flip.X), classify._direct_sum(v.Y, flip.Y)
+    return (BIModule(classify._direct_sum(v.X, v.X), classify._direct_sum(v.Y, v.Y),
+                     v.kappa, v.lam, v.mu),
+            BIModule(p * x * p_inv, p * y * p_inv, v.kappa, v.lam, v.mu))
+
+
+def test_intertwiner_work_is_bounded(monkeypatch):
+    # one graph spin per seed, not the dense 2nm x nm system (720 eliminated
+    # rows for this pair at 2n = 16)
+    calls = []
+    real_add = RrefAccumulator.add
+
+    def counting_add(self, v):
+        calls.append(len(v))
+        return real_add(self, v)
+
+    v, w = _direct_sum_pair(7)
+    monkeypatch.setattr(RrefAccumulator, "add", counting_add)
+    ok, t = are_isomorphic(v, w)
+    eliminated = len(calls)
+    assert ok and t.rank() == 16
+    assert eliminated <= 200
 
 
 def test_certificates_checked_under_python_O():

@@ -349,6 +349,20 @@ def test_iso_distinct_classes(capsys, tmp_path):
     assert json.loads(out)["isomorphic"] is False
 
 
+def test_iso_singular_intertwiner_line(capsys, tmp_path):
+    # every intertwiner E_1(0, 1, 1) -> E_1(0, -1, 1) is a multiple of one
+    # singular map: a conclusive "not isomorphic", not "indeterminate"
+    p1, p2 = tmp_path / "p.json", tmp_path / "m.json"
+    run_cli(capsys, "build", "--family", "even", "--d", "1", "--a", "0",
+            "--b", "1", "--c", "1", "--quiet", "--out", str(p1))
+    run_cli(capsys, "build", "--family", "even", "--d", "1", "--a", "0",
+            "--b=-1", "--c", "1", "--quiet", "--out", str(p2))
+    code, out, _ = run_cli(capsys, "iso", str(p1), str(p2), "--no-timing")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["isomorphic"] is False and doc["intertwiner"] is None
+
+
 def test_iso_gates_on_relations(capsys, tmp_path):
     # Y replaced by X breaks the relations; two equal copies must not pass
     # as isomorphic modules
