@@ -272,15 +272,15 @@ def _lowering_recurrence(t, d: int) -> Matrix:
 
 def _lowering_operator(p: EvenParams, t, d: int) -> Matrix:
     e = p.module()
-    # row i of the lowering product (Y - theta*_1) ... (Y - theta*_d) is a
-    # walk from e_i under Y^T
-    y_t, shifts = e.Y.T, [t.theta_star(h) for h in range(1, d + 1)]
-    r = [shifted_walk(y_t, row, shifts)[-1] for row in Matrix.identity(d + 1).rows]
-    # the full lowering product maps everything into the bottom ladder line
-    if any(any(row) for row in r[1:]):
+    # Y upper triangular with diagonal theta*_0 ... theta*_d makes rows i >= 1 of
+    # (Y - theta*_1) ... (Y - theta*_d) zero (Cayley-Hamilton on the right
+    # Y-invariant span of e_i^T ... e_d^T), so only row 0, a walk under Y^T, is left
+    if not e.Y.is_upper_triangular() or any(e.Y[i, i] != t.theta_star(i) for i in range(d + 1)):
         raise CertificateError("lowering product escaped the lowest ladder line")
+    r0 = shifted_walk(e.Y.T, Matrix.identity(d + 1).rows[0],
+                      [t.theta_star(h) for h in range(1, d + 1)])[-1]
     # row i is r_0 (X - theta_d) ... (X - theta_{i+1}), a walk under X^T
-    walk = shifted_walk(e.X.T, r[0], [t.theta(i) for i in range(d, 0, -1)])
+    walk = shifted_walk(e.X.T, r0, [t.theta(i) for i in range(d, 0, -1)])
     return Matrix(walk[::-1])
 
 

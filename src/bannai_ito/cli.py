@@ -133,14 +133,6 @@ def _write_output(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _emit_report(report: dict, args, started: float, code: int) -> int:
-    if not args.no_timing:
-        report["timing_s"] = f"{time.monotonic() - started:.3f}"
-    report["exit"] = code
-    _write_output(json.dumps(report, indent=2) + "\n", args)
-    return code
-
-
 def _note(args, message: str) -> None:
     if not args.quiet:
         print(message, file=sys.stderr)
@@ -199,17 +191,6 @@ def _relations_fragment(mod: BIModule) -> tuple[list[dict], bool]:
              "expected": None if ch.expected is None else str(ch.expected)}
             for ch in rep.checks]
     return rows, rep.ok
-
-
-def _relations_gate(report: dict, args, started: float, *mods: BIModule) -> int | None:
-    """Emit the exit-1 report and return its code if any input fails the
-    defining relations; None when every input is a module."""
-    frags = [_relations_fragment(mod) for mod in mods]
-    if all(ok for _, ok in frags):
-        return None
-    report["relations"] = frags[0][0] if len(frags) == 1 else [rows for rows, _ in frags]
-    report["error"] = "defining relations fail; not a module"
-    return _emit_report(report, args, started, EXIT_FAIL)
 
 
 def _verdict_fragment(verdict) -> dict:
@@ -272,20 +253,13 @@ def cmd_fixture(args) -> int:
     return EXIT_OK
 
 
-def cmd_check(args) -> int:
-    started = time.monotonic()
-    mod, _ = parse_module(_read_input(args.path))
-    rows, ok = _relations_fragment(mod)
-    report = {"command": "check", "input": args.path, "relations": rows, "passed": ok}
-    return _emit_report(report, args, started, EXIT_OK if ok else EXIT_FAIL)
+def cmd_check(args, report: dict, source) -> int:
+    report["relations"], report["passed"] = _relations_fragment(source[0])
+    return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
-def cmd_classify(args) -> int:
-    started = time.monotonic()
-    mod, meta = parse_module(_read_input(args.path))
-    report: dict = {"command": "classify", "input": args.path}
-    if (code := _relations_gate(report, args, started, mod)) is not None:
-        return code
+def cmd_classify(args, report: dict, source) -> int:
+    mod, meta = source
     verdict = oracle_irreducible(mod)
     report["oracle"] = _verdict_fragment(verdict)
     holds = _criterion_from_meta(meta, mod.dim)
@@ -307,54 +281,40 @@ def cmd_classify(args) -> int:
             report["class"] = None
             report["identify_error"] = str(exc)
             code = EXIT_FAIL
-    return _emit_report(report, args, started, code)
+    return code
 
 
-def cmd_identify(args) -> int:
-    started = time.monotonic()
-    mod, _ = parse_module(_read_input(args.path))
-    report: dict = {"command": "identify", "input": args.path}
-    if (code := _relations_gate(report, args, started, mod)) is not None:
-        return code
+def cmd_identify(args, report: dict, source) -> int:
     try:
-        coords = identify(mod)
+        coords = identify(source[0])
     except IdentificationFailed as exc:
         report["error"] = str(exc)
-        code = EXIT_INDETERMINATE if isinstance(exc, IndeterminateIrreducibility) else EXIT_FAIL
-        return _emit_report(report, args, started, code)
+        return EXIT_INDETERMINATE if isinstance(exc, IndeterminateIrreducibility) else EXIT_FAIL
     report["class"] = _coords_fragment(coords)
-    report["invariants"] = _invariants_fragment(mod)
-    return _emit_report(report, args, started, EXIT_OK)
+    report["invariants"] = _invariants_fragment(source[0])
+    return EXIT_OK
 
 
-def cmd_iso(args) -> int:
-    started = time.monotonic()
-    mod1, _ = parse_module(_read_input(args.path1))
-    mod2, _ = parse_module(_read_input(args.path2))
-    report: dict = {"command": "iso", "inputs": [args.path1, args.path2]}
-    if (code := _relations_gate(report, args, started, mod1, mod2)) is not None:
-        return code
+def cmd_iso(args, report: dict, first, second) -> int:
     try:
-        ok, t = are_isomorphic(mod1, mod2)
+        ok, t = are_isomorphic(first[0], second[0])
     except IndeterminateIsomorphism as exc:
         report["isomorphic"] = "indeterminate"
         report["detail"] = str(exc)
-        return _emit_report(report, args, started, EXIT_INDETERMINATE)
+        return EXIT_INDETERMINATE
     report["isomorphic"] = ok
     report["intertwiner"] = _matrix_to_lists(t) if ok else None
-    return _emit_report(report, args, started, EXIT_OK if ok else EXIT_FAIL)
+    return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_minpoly(args) -> int:
-    started = time.monotonic()
-    mod, _ = parse_module(_read_input(args.path))
-    gens = ("X", "Y", "Z") if args.gen == "all" else (args.gen,)
-    results = []
-    for name in gens:
-        p = min_poly(mod.generator(name))
+def cmd_minpoly(args, report: dict, source) -> int:
+    report["gen"] = args.gen
+    report["results"] = []
+    for name in ("X", "Y", "Z") if args.gen == "all" else (args.gen,):
+        p = min_poly(source[0].generator(name))
         roots = rational_roots(p)
         squarefree = is_squarefree(p)
-        results.append({
+        report["results"].append({
             "generator": name,
             "min_poly_coeffs": [str(cf) for cf in p.coeffs],
             "factored": _factored_string(roots),
@@ -362,22 +322,16 @@ def cmd_minpoly(args) -> int:
             "split": roots.split,
             "diagonalizable": squarefree and roots.split,
         })
-    report = {"command": "minpoly", "input": args.path, "gen": args.gen,
-              "results": results}
-    return _emit_report(report, args, started, EXIT_OK)
+    return EXIT_OK
 
 
-def cmd_scan(args) -> int:
-    started = time.monotonic()
+def cmd_scan(args, report: dict) -> int:
     values = [_parse_rat_arg(tok, "--values") for tok in args.values.split(",") if tok]
     if not values:
         raise CliError(EXIT_INPUT, "--values must list at least one rational")
     criterion = _FAMILIES[args.family][1]
-    disagreements = []
-    indeterminate = []
-    count = 0
+    disagreements, indeterminate = [], []
     for a, b, c in itertools.product(values, repeat=3):
-        count += 1
         point = [str(a), str(b), str(c)]
         verdict = oracle_irreducible(_build_family_module(args.family, args.d, a, b, c))
         expected = criterion(args.d, a, b, c)
@@ -385,16 +339,45 @@ def cmd_scan(args) -> int:
             indeterminate.append(point)
         elif verdict.is_irreducible != expected:
             disagreements.append(point)
-    report = {"command": "scan", "family": args.family, "d": args.d,
-              "grid_points": count,
-              "disagreements": disagreements, "indeterminate": indeterminate}
+    report.update(family=args.family, d=args.d, grid_points=len(values) ** 3,
+                  disagreements=disagreements, indeterminate=indeterminate)
     if disagreements:
-        code = EXIT_FAIL
-    elif indeterminate:
-        code = EXIT_INDETERMINATE
+        return EXIT_FAIL
+    return EXIT_INDETERMINATE if indeterminate else EXIT_OK
+
+
+# report command -> (its module-file arguments, whether it assumes a module and
+# so gates on the defining relations)
+_REPORTS = {"check": (("path",), False), "classify": (("path",), True),
+            "identify": (("path",), True), "iso": (("path1", "path2"), True),
+            "minpoly": (("path",), False), "scan": ((), False)}
+
+
+def _report(args) -> int:
+    """Run a report command: read its module files in argument order, gate on
+    the relations, let ``args.func(args, report, *(module, meta) pairs)`` fill
+    in the command's fields and return the exit code, then add timing and exit."""
+    started = time.monotonic()
+    names, gated = _REPORTS[args.cmd]
+    paths = [getattr(args, name) for name in names]
+    inputs = [parse_module(_read_input(path)) for path in paths]
+    report: dict = {"command": args.cmd}
+    if len(paths) == 1:
+        report["input"] = paths[0]
+    elif paths:
+        report["inputs"] = paths
+    frags = [_relations_fragment(mod) for mod, _ in inputs] if gated else []
+    if all(ok for _, ok in frags):
+        code = args.func(args, report, *inputs)
     else:
-        code = EXIT_OK
-    return _emit_report(report, args, started, code)
+        report["relations"] = frags[0][0] if len(frags) == 1 else [rows for rows, _ in frags]
+        report["error"] = "defining relations fail; not a module"
+        code = EXIT_FAIL
+    if not args.no_timing:
+        report["timing_s"] = f"{time.monotonic() - started:.3f}"
+    report["exit"] = code
+    _write_output(json.dumps(report, indent=2) + "\n", args)
+    return code
 
 
 # --- argument parsing -----------------------------------------------------------------
@@ -466,10 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _report(args) if args.cmd in _REPORTS else args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -254,6 +254,8 @@ class RrefAccumulator:
     def _reduce(self, v: Sequence[Fraction]) -> tuple[list[int], int]:
         """(s*w, s): w is v reduced against every row, so zero in their pivot
         columns, and s > 0 is the scale that makes s*w integral."""
+        if len(v) != self.ncols:
+            raise ValueError("vector length mismatch")
         s = math.lcm(*(x.denominator for x in v))
         u = [x.numerator * (s // x.denominator) for x in v]
         for row, c in zip(self._rows, self.pivots):
@@ -322,7 +324,7 @@ def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
     coordinate is set to 1 and pivot coordinates are back-substituted.
     """
     acc = _row_reduce(m.rows, m.ncols)
-    ncols = m.ncols
+    ncols, rows = m.ncols, acc.rows
     pivot_set = set(acc.pivots)
     basis = []
     for free in range(ncols):
@@ -330,7 +332,7 @@ def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
             continue
         v = [_F0] * ncols
         v[free] = _F1
-        for row, c in zip(acc.rows, acc.pivots):
+        for row, c in zip(rows, acc.pivots):
             v[c] = -row[free]
         basis.append(tuple(v))
     return tuple(basis)

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bannai_ito import classify
-from bannai_ito.bimodule import BIModule, CertificateError, TwistSign, even_module, \
-    example_even, example_odd, odd_module, twist
+from bannai_ito.bimodule import BIModule, CertificateError, EvenParams, TwistSign, \
+    even_module, example_even, example_odd, odd_module, twist
 from bannai_ito.classify import ClassCoordinates, IdentificationFailed, \
     IndeterminateIsomorphism, NonSplitSpectrum, NotRationalFamily, a_flip_basis_matrices, \
     are_isomorphic, criterion_even, criterion_odd, criterion_verdict, identify, \
@@ -312,6 +312,42 @@ def test_lowering_matrix_agreement_property(a, b, c):
     closed = lowering_matrix(3, a, b, c, method="closed")
     assert closed == lowering_matrix(3, a, b, c, method="recurrence")
     assert bool(closed.det()) == criterion_even(3, a, b, c)
+
+
+@pytest.mark.parametrize("i, j", [(1, 1), (2, 1)], ids=["diagonal", "below"])
+def test_lowering_operator_certificate(monkeypatch, i, j):
+    # rows 1..d of the lowering product vanish only for a Y that is upper
+    # triangular with diagonal theta*_0 ... theta*_d
+    real_module = EvenParams.module
+
+    def perturbed(self):
+        e = real_module(self)
+        y = [list(row) for row in e.Y.rows]
+        y[i][j] += 1
+        return BIModule(e.X, Matrix(y), e.kappa, e.lam, e.mu)
+
+    monkeypatch.setattr(EvenParams, "module", perturbed)
+    with pytest.raises(CertificateError,
+                       match="^lowering product escaped the lowest ladder line$"):
+        lowering_matrix(3, 1, 0, 1, method="operator")
+
+
+def test_lowering_operator_work_is_linear(monkeypatch):
+    # one walk from e_0 under Y^T, one under X^T: not a walk from every unit
+    # vector, (d + 1) d + d = 255 matvec calls at d = 15
+    calls = []
+    real_matvec = Matrix.matvec
+
+    def counting_matvec(self, v):
+        calls.append(len(v))
+        return real_matvec(self, v)
+
+    d, params = 15, (F(1, 3), F(2, 7), F(5, 11))
+    monkeypatch.setattr(Matrix, "matvec", counting_matvec)
+    low = lowering_matrix(d, *params, method="operator")
+    assert len(calls) <= 2 * d
+    monkeypatch.undo()
+    assert low == lowering_matrix(d, *params, method="closed")
 
 
 # --- parameter sign flips ----------------------------------------------------

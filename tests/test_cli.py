@@ -3,6 +3,7 @@ byte-stable golden reports."""
 
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -271,16 +272,6 @@ def test_classify_indeterminate_exit_code(capsys, tmp_path, monkeypatch):
     assert doc["oracle"]["status"] == "indeterminate" and doc["exit"] == 3
 
 
-def test_classify_gates_on_relations(capsys, tmp_path):
-    doc = json.loads(serialize_module(example_even()))
-    doc["Y"][0][1] = "2"
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    code, out, _ = run_cli(capsys, "classify", str(path), "--no-timing")
-    assert code == 1
-    assert "error" in json.loads(out)
-
-
 def test_identify_example_odd(capsys, tmp_path):
     path = tmp_path / "o.json"
     run_cli(capsys, "fixture", "exampleO", "--out", str(path))
@@ -427,6 +418,56 @@ def test_scan_rejects_bad_parity(capsys):
     code, _, err = run_cli(capsys, "scan", "--family", "even", "--d", "2", "--values=0")
     assert code == 2
     assert "odd d" in err
+
+
+# --- the one report path ----------------------------------------------------------------
+
+# argv after the command name, given one module file, and the report's own fields
+# on the exampleE fixture (which carries family meta)
+REPORTS = {
+    "check": (lambda path: [path], ["relations", "passed"]),
+    "classify": (lambda path: [path],
+                 ["oracle", "criterion", "methods_agree", "invariants", "class"]),
+    "identify": (lambda path: [path], ["class", "invariants"]),
+    "iso": (lambda path: [path, path], ["isomorphic", "intertwiner"]),
+    "minpoly": (lambda path: ["--gen", "Z", path], ["gen", "results"]),
+    "scan": (lambda path: ["--family", "even", "--d", "1", "--values=0"],
+             ["family", "d", "grid_points", "disagreements", "indeterminate"]),
+}
+
+
+@pytest.mark.parametrize("timing", [False, True], ids=["no-timing", "timing"])
+@pytest.mark.parametrize("command", sorted(REPORTS))
+def test_report_key_order(capsys, tmp_path, command, timing):
+    path = tmp_path / "e.json"
+    path.write_text((GOLDEN / "module_exampleE.json").read_text())
+    args, fields = REPORTS[command]
+    code, out, _ = run_cli(capsys, command, *args(str(path)),
+                           *([] if timing else ["--no-timing"]))
+    doc = json.loads(out)
+    head = {"scan": [], "iso": ["inputs"]}.get(command, ["input"])
+    assert list(doc) == ["command", *head, *fields, *(["timing_s"] if timing else []), "exit"]
+    assert doc["command"] == command and doc["exit"] == code == 0
+    assert not timing or re.fullmatch(r"\d+\.\d{3}", doc["timing_s"])
+
+
+@pytest.mark.parametrize("command", ["check", "classify", "identify", "iso", "minpoly"])
+def test_relations_gate_matrix(capsys, tmp_path, command):
+    # only the commands that assume a module stop at the relations
+    gated = command in ("classify", "identify", "iso")
+    doc = json.loads(serialize_module(example_even()))
+    doc["Y"][0][1] = "2"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, command, *REPORTS[command][0](str(path)), "--no-timing")
+    rep = json.loads(out)
+    assert rep["exit"] == code
+    if gated:
+        assert code == 1 and list(rep)[-3:] == ["relations", "error", "exit"]
+        assert rep["error"] == "defining relations fail; not a module"
+    else:
+        assert "error" not in rep and list(rep)[-3:-1] == REPORTS[command][1]
+        assert code == (1 if command == "check" else 0)
 
 
 # --- golden pipe -----------------------------------------------------------------------

@@ -351,6 +351,18 @@ def test_matrix_det_and_inverse():
         Matrix([[1, 1], [1, 1]]).inverse()
 
 
+def test_accumulator_rejects_wrong_length():
+    # as in Matrix.matvec: a vector of another width is an error, not a row
+    acc = RrefAccumulator(2)
+    with pytest.raises(ValueError, match="^vector length mismatch$"):
+        acc.add((F(0), F(0), F(1)))
+    assert len(acc) == 0 and acc.pivots == []
+    acc = RrefAccumulator(3)
+    acc.add((F(1), F(0), F(0)))
+    with pytest.raises(ValueError, match="^vector length mismatch$"):
+        acc.contains((F(1),))
+
+
 # --- properties ---------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
