@@ -2,10 +2,11 @@
 
 Everything in this module is deterministic and exact: entries are
 ``fractions.Fraction`` and no floating point is ever involved.  Matrices are
-immutable and dense, but products and ``matvec`` run over a cached sparse
-view of the rows, so the bidiagonal and tridiagonal family matrices cost
-only their nonzeros.  One Gauss-Jordan engine, ``RrefAccumulator``, does
-every row elimination (rref, rank, kernel, inverse, det, spin, Krylov
+immutable and dense, but products, ``matvec`` and ``spin`` run over a cached
+integer view of the rows (denominators cleared once per row, zeros dropped),
+so the family matrices cost only their nonzeros and each output entry is
+built as a ``Fraction`` once.  One Gauss-Jordan engine, ``RrefAccumulator``,
+does every row elimination (rref, rank, kernel, inverse, det, spin, Krylov
 annihilators); it eliminates fraction-free over integer rows and hands back
 ``Fraction`` rows at its boundary.
 """
@@ -37,15 +38,26 @@ def vec(entries: Iterable[RatLike]) -> Vector:
     return tuple(rat(x) for x in entries)
 
 
+def _scaled(v: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """(s*v as ints, s), where s > 0 is the least scale that makes v integral."""
+    try:
+        s = math.lcm(*(x.denominator for x in v))
+    except AttributeError:
+        bad = next(x for x in v if not hasattr(x, "denominator"))
+        raise TypeError(f"not an exact rational: {bad!r}") from None
+    return [x.numerator * (s // x.denominator) for x in v], s
+
+
 class Matrix:
     """Immutable dense matrix over Fraction, stored row-major.
 
-    Products and ``matvec`` read ``_nonzeros``, each row's (column, value)
-    pairs of nonzero entries, built on first use and cached; it is not part
+    Products, ``matvec`` and ``spin`` read ``_ints``: for each row, the least
+    scale s > 0 that makes it integral and the (column, s*value) pairs of its
+    nonzero entries.  It is built on first use and cached, and it is not part
     of ``==`` or ``hash``.
     """
 
-    __slots__ = ("rows", "_nonzeros")
+    __slots__ = ("rows", "_ints")
 
     def __init__(self, rows: Iterable[Iterable[RatLike]]):
         rs = tuple(tuple(rat(x) for x in row) for row in rows)
@@ -122,37 +134,42 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return Matrix._new(tuple(tuple(a + b for a, b in zip(r, s))
+        return Matrix._new(tuple(tuple(a + b if b else a for a, b in zip(r, s))
                                  for r, s in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return Matrix._new(tuple(tuple(a - b for a, b in zip(r, s))
+        return Matrix._new(tuple(tuple(a - b if b else a for a, b in zip(r, s))
                                  for r, s in zip(self.rows, other.rows)))
 
-    def _sparse(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    def _int_rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
         try:
-            return self._nonzeros
+            return self._ints
         except AttributeError:
-            nz = tuple(tuple((j, a) for j, a in enumerate(r) if a) for r in self.rows)
-            object.__setattr__(self, "_nonzeros", nz)
-            return nz
+            ints = tuple((s, tuple((j, a) for j, a in enumerate(u) if a))
+                         for u, s in map(_scaled, self.rows))
+            object.__setattr__(self, "_ints", ints)
+            return ints
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-            right, out = other._sparse(), []
-            for row in self._sparse():
-                acc = [_F0] * other.ncols
+            right, out = other._int_rows(), []
+            for s, row in self._int_rows():
+                # row i of the product is (1/(s*t)) sum_j a'_ij (t/t_j) b'_j
+                t = math.lcm(*(right[j][0] for j, _ in row))
+                acc = [0] * other.ncols
                 for j, a in row:
-                    for k, b in right[j]:
+                    tj, right_row = right[j]
+                    a *= t // tj
+                    for k, b in right_row:
                         acc[k] += a * b
-                out.append(tuple(acc))
+                out.append(tuple(Fraction(x, s * t) if x else _F0 for x in acc))
             return Matrix._new(tuple(out))
         s = rat(other)
-        return Matrix._new(tuple(tuple(s * a for a in r) for r in self.rows))
+        return Matrix._new(tuple(tuple(s * a if a else a for a in r) for r in self.rows))
 
     def __rmul__(self, other: RatLike) -> "Matrix":
         return self.__mul__(other)
@@ -160,7 +177,10 @@ class Matrix:
     def matvec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum((a * v[j] for j, a in row), _F0) for row in self._sparse())
+        u, t = _scaled(v)
+        ints = self._int_rows()
+        sums = (sum(a * u[j] for j, a in row) for _, row in ints)
+        return tuple(Fraction(x, s * t) if x else _F0 for x, (s, _) in zip(sums, ints))
 
     @property
     def T(self) -> "Matrix":
@@ -239,8 +259,8 @@ class RrefAccumulator:
     Elimination is fraction-free: each row is kept as a primitive integer
     vector (content divided out with gcd, pivot positive, zero in every other
     pivot column), i.e. the rref row times its pivot entry.  An incoming
-    vector is scaled to integers once, by the lcm of its denominators;
-    ``rows`` divides by the pivots and gives the rref over Fraction.
+    vector (Fractions or ints) is scaled to integers once, by the lcm of its
+    denominators; ``rows`` divides by the pivots and gives the rref.
     """
 
     def __init__(self, ncols: int):
@@ -256,8 +276,7 @@ class RrefAccumulator:
         columns, and s > 0 is the scale that makes s*w integral."""
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        s = math.lcm(*(x.denominator for x in v))
-        u = [x.numerator * (s // x.denominator) for x in v]
+        u, s = _scaled(v)
         for row, c in zip(self._rows, self.pivots):
             if u[c]:
                 g = math.gcd(row[c], u[c])
@@ -266,10 +285,11 @@ class RrefAccumulator:
                 s *= p
         return u, s
 
-    def add(self, v: Sequence[Fraction]) -> Fraction:
-        """Add v to the span.  Returns 0 if v was already in it; otherwise the
-        pivot v was divided by, negated when the new row lands above an odd
-        number of existing rows (so the signed pivots multiply to the det)."""
+    def add(self, v: Sequence[Fraction | int]) -> Fraction:
+        """Add v, a vector of Fractions or ints, to the span.  Returns 0 if v
+        was already in it; otherwise the pivot v was divided by, negated when
+        the new row lands above an odd number of existing rows (so the signed
+        pivots multiply to the det)."""
         u, s = self._reduce(v)
         c = next((j for j, a in enumerate(u) if a), None)
         if c is None:
@@ -344,16 +364,24 @@ def spin(vectors: Sequence[Sequence[RatLike]], operators: Sequence[Matrix]) -> t
     Iteratively applies each operator to the working basis and grows an rref
     basis until the dimension stabilizes.  Returned basis rows are in rref,
     sorted by pivot column, so the output is canonical for the subspace.
+    The walk runs over ints: a scalar multiple of an operator spans the same
+    subspace, so each operator and each seed is scaled to integers once.
     """
     if not operators:
         raise ValueError("need at least one operator")
     ncols = operators[0].ncols
+    if any(op.shape != (ncols, ncols) for op in operators):
+        raise ValueError("operators must be square and of one size")
+    int_ops = []
+    for ints in (op._int_rows() for op in operators):
+        lcm = math.lcm(*(s for s, _ in ints))
+        int_ops.append([[(j, lcm // s * a) for j, a in row] for s, row in ints])
     acc = RrefAccumulator(ncols)
-    queue = deque(v for v in map(vec, vectors) if acc.add(v))
+    queue = deque(u for u, _ in map(_scaled, map(vec, vectors)) if acc.add(u))
     while queue and len(acc) < ncols:
-        v = queue.popleft()
-        for op in operators:
-            w = op.matvec(v)
+        u = queue.popleft()
+        for op in int_ops:
+            w = [sum(a * u[j] for j, a in row) for row in op]
             if acc.add(w):
                 queue.append(w)
     return acc.rows

@@ -107,6 +107,22 @@ def kernel_oracle(m):
     return tuple(basis)
 
 
+def spin_oracle(seeds, operators):
+    """Rref of the smallest invariant subspace containing the seeds, the naive
+    way: apply every operator to every basis vector with textbook Fraction
+    sums until Gauss-Jordan finds no new pivot."""
+    basis = [tuple(F(x) for x in v) for v in seeds]
+    rank = -1
+    while basis:
+        rows, pivots = gauss_jordan(basis)
+        if len(pivots) == rank:
+            return tuple(tuple(r) for r in rows[:rank])
+        rank, basis = len(pivots), rows[:len(pivots)]
+        basis += [tuple(sum((op[i, j] * b[j] for j in range(op.ncols)), F(0))
+                        for i in range(op.nrows)) for op in operators for b in basis]
+    return ()
+
+
 def min_poly_oracle(m):
     """First linear dependence among I, m, m^2, ... as a monic polynomial."""
     powers = [Matrix.identity(m.nrows)]
@@ -171,6 +187,22 @@ def spanning_rows(draw, max_n=5):
                                                 max_size=len(base)), max_size=3))]
     zeros = [(F(0),) * ncols] * draw(st.integers(min_value=0, max_value=2))
     return ncols, draw(st.permutations(base + combos + zeros))
+
+
+@st.composite
+def spin_cases(draw, max_n=4):
+    """(seeds, operators): one or two n x n operators of independently drawn
+    shapes (the zero operator among them), and seeds drawn with repetition
+    from a pool of vectors and the zero vector, sometimes followed by the
+    unit vectors, which already span the space."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    operators = draw(st.lists(shaped_matrices(n, n), min_size=1, max_size=2))
+    pool = draw(st.lists(st.lists(mixed_heights, min_size=n, max_size=n).map(tuple),
+                         min_size=1, max_size=2))
+    seeds = draw(st.lists(st.sampled_from(pool + [(F(0),) * n]), max_size=4))
+    if draw(st.booleans()):
+        seeds += Matrix.identity(n).rows
+    return seeds, operators
 
 
 def square_matrices(max_n=4):
@@ -363,6 +395,25 @@ def test_accumulator_rejects_wrong_length():
         acc.contains((F(1),))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: Matrix([[1, 2], [3, 4]]).matvec((0.5, 1.0)),
+    lambda: shifted_walk(Matrix([[1, 2], [3, 4]]), (0.5, 1), [1]),
+    lambda: RrefAccumulator(2).add((0.5, 1)),
+    lambda: RrefAccumulator(2).contains((1, 0.5)),
+], ids=["matvec", "shifted_walk", "accumulator_add", "accumulator_contains"])
+def test_floats_are_rejected(call):
+    # a float entry would make the result inexact; it is refused like rat(0.5)
+    with pytest.raises(TypeError, match=r"^not an exact rational: 0\.5$"):
+        call()
+
+
+def test_spin_rejects_mismatched_operators():
+    with pytest.raises(ValueError, match="^operators must be square and of one size$"):
+        spin([(1, 0)], [Matrix.identity(2), Matrix.identity(3)])
+    with pytest.raises(ValueError, match="^operators must be square and of one size$"):
+        spin([(1, 0)], [Matrix([[1, 0]])])
+
+
 # --- properties ---------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -513,6 +564,10 @@ def test_spin_is_invariant(m):
 
 @settings(max_examples=80, deadline=None)
 @given(product_operands())
+@example((Matrix([[0, 0, 0], [F(1, 3), 0, F(2, 7)]]), Matrix([[0, F(5, 2)], [0, 0], [0, 1]]),
+          (F(0), F(1, 2**61 - 1))))  # an all-zero row, column and right-hand row
+@example((Matrix([[F(3, 7)]]), Matrix([[F(-7, 2**61 - 1)]]), (F(1, 10**12 + 39),)))
+@example((Matrix([[0]]), Matrix([[0]]), (F(0),)))
 def test_products_match_textbook_sums(case):
     a, b, v = case
     fresh_a, fresh_b = Matrix(a.rows), Matrix(b.rows)
@@ -526,6 +581,42 @@ def test_products_match_textbook_sums(case):
     assert a == fresh_a and hash(a) == hash(fresh_a)
     assert b == fresh_b and hash(b) == hash(fresh_b)
     assert fresh_a * fresh_b == ab
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda r: st.integers(
+    min_value=1, max_value=4).flatmap(lambda c: st.tuples(
+        shaped_matrices(r, c), shaped_matrices(r, c), mixed_heights))))
+def test_sums_and_scaling_match_dense(case):
+    a, b, c = case
+    zero = [[F(0)] * a.ncols] * a.nrows
+    cases = [
+        (a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)]),
+        (a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)]),
+        (a - a, zero),
+        (c * a, [[c * x for x in r] for r in a.rows]),
+        (a * c, [[c * x for x in r] for r in a.rows]),
+        (0 * a, zero),
+        (F(0) * b, zero),
+    ]
+    for got, want in cases:
+        assert got.rows == tuple(tuple(r) for r in want)
+        assert _all_fractions(got.rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spin_cases())
+@example(([(F(1, 2**61 - 1), F(3), F(0))],
+          [Matrix([[F(1, 10**12 + 39), 1, 0], [0, F(2, 2**61 - 1), F(5, 3)],
+                   [F(7, 10**12 + 39), 0, 0]])]))
+@example(([(F(1), F(0)), (F(1), F(0))], [Matrix.zero(2)]))
+@example(([(F(0), F(0))], [Matrix([[1, 2], [3, 4]])]))
+@example(([], [Matrix([[1, 2], [3, 4]])]))
+def test_spin_matches_naive_closure(case):
+    seeds, operators = case
+    got = spin(seeds, operators)
+    assert got == spin_oracle(seeds, operators)
+    assert _all_fractions(got)
 
 
 def _all_fractions(rows):
