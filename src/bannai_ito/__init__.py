@@ -81,8 +81,8 @@ from .universal import (
     AnnihilatorFails,
     PremiseViolated,
     TruncatedVerma,
-    descend_to_even,
     interior_relation_check,
+    ladder_map,
     ladder_vector,
     truncated_verma,
     universal_map,
@@ -124,7 +124,6 @@ __all__ = [
     "criterion_odd",
     "criterion_verdict",
     "derive_Z",
-    "descend_to_even",
     "diagonalizability",
     "even_module",
     "example_even",
@@ -135,6 +134,7 @@ __all__ = [
     "invariants",
     "is_squarefree",
     "kernel_basis",
+    "ladder_map",
     "ladder_vector",
     "lowering_matrix",
     "min_poly",

@@ -5,36 +5,39 @@ Two independent irreducibility routes are provided on purpose:
 * ``criterion_even`` / ``criterion_odd``: closed-form admissibility conditions
   on the parameters (four parameter sums avoiding a finite set of half-integer
   shifts);
-* ``oracle_irreducible``: spin tests on the matrices themselves that know
-  nothing about the closed forms (a Norton test on a shift of Y or X, MeatAxe
-  spins of their eigenvectors, a probe of Y-X combinations).  It stays
-  ``indeterminate`` only on input where no shift of X or Y and no
-  combination has nullity 1, and every eigenvector spin is full.
+* ``oracle_irreducible``: spin tests on the matrices that never consult the
+  criterion (a Norton test on a shift of Y, theta*_0 of the family point the
+  invariants name first, or of X; MeatAxe spins of their eigenvectors; a
+  probe of Y-X combinations).  It stays ``indeterminate`` only on input
+  where no shift of X or Y and no combination has nullity 1, and every
+  eigenvector spin is full.
 
 A third certificate for the even family is the lowering matrix, computable
 three unrelated ways (operator products, a two-term recurrence, a closed-form
 product); it is nonsingular exactly when the criterion holds.
 
-Isomorphism classes are decided by exact intertwiners from one routine: a
-graph spin of Y-eigenvectors (then unit vectors) with their allowed images in
-V + W + ... + W gives the whole intertwiner space.  ``identify`` maps an
-irreducible module back to family coordinates: a twist sign pair plus the
-canonical (all nonnegative) parameter orbit representative for even dimension,
-exact parameters for odd dimension.
+Isomorphism is decided from the intertwiner space, one graph spin of
+Y-eigenvectors (then unit vectors) with their images in V + W + ... + W.
+``identify`` reads family coordinates (twist signs and the nonnegative
+parameter orbit representative for even dimension, exact parameters for
+odd) off the invariants and certifies them with the ladder map of the
+universal property, as do the a-flip basis and the odd twist check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .bimodule import BIModule, CertificateError, EvenParams, OddParams, \
-    TwistSign, central_scalars, certify_intertwiner, even_module, odd_module, twist
+from .bimodule import ALL_TWISTS, BIModule, CertificateError, EvenParams, NotAModule, \
+    OddParams, TwistSign, central_scalars, certify_intertwiner, odd_module, twist
 from .exactlinalg import Matrix, RatLike, RrefAccumulator, Vector, \
     kernel_basis, rat, rational_spectrum, shifted_walk, spin
+from .universal import AnnihilatorFails, PremiseViolated, ladder_map
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -155,18 +158,27 @@ def _shift(q: Fraction) -> str:
     return f"({q})" if q < 0 else str(q)
 
 
-def _eigenspaces(g: Matrix, name: str) -> Iterator[tuple[Fraction, Matrix, tuple[Vector, ...]]]:
-    """(theta, g - theta, kernel) for each distinct eigenvalue theta of g, in
-    increasing order and lazily, each kernel from one elimination.  Raises
-    NonSplitSpectrum when the first item is asked for and the spectrum of g is
-    not rational."""
+def _eigenspaces(g: Matrix, name: str, first: Fraction | None = None
+                 ) -> Iterator[tuple[Fraction, Matrix, tuple[Vector, ...]]]:
+    """(theta, g - theta, kernel) per distinct eigenvalue of g, increasing and
+    lazily, one elimination each; only ``first`` if its kernel is a line (no
+    spectrum then).  NonSplitSpectrum if the spectrum is not rational."""
+    eye, tried = Matrix.identity(g.nrows), {}
+
+    def item(th):
+        if th not in tried:
+            shifted = g - th * eye
+            tried[th] = th, shifted, kernel_basis(shifted)
+        return tried[th]
+
+    if first is not None and len(item(first)[2]) == 1:
+        yield item(first)
+        return
     roots = rational_spectrum(g)
     if not roots.split:
         raise NonSplitSpectrum(f"spectrum of {name} is not rational")
-    eye = Matrix.identity(g.nrows)
     for th in sorted(set(roots.roots)):
-        shifted = g - th * eye
-        yield th, shifted, kernel_basis(shifted)
+        yield item(th)
 
 
 def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
@@ -175,10 +187,12 @@ def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
 
     For each generator g, the kernel of g - theta for each rational
     eigenvalue theta, in increasing order, comes from one elimination; the
-    first kernel line is a Norton element for the two-sided spin test.  If
-    every eigenspace of g is >= 2-dimensional, each kernel basis vector is
-    spun under X and Y (the MeatAxe step); the first proper spin is a
-    verified witness, and in an irreducible module every spin is full.  Last,
+    first kernel line is a Norton element for the two-sided spin test.  Y
+    first tries eps' theta*_0 of the family point the invariants name, and
+    needs its spectrum only if that kernel is not a line.  If every
+    eigenspace of g is >= 2-dimensional, each kernel basis vector is spun
+    under X and Y (the MeatAxe step); the first proper spin is a verified
+    witness, and in an irreducible module every spin is full.  Last,
     (Y - theta) + t (X - theta') for t in (1, -1, 2, -2) is probed for
     nullity 1.  Indeterminate is left only when no shift of X or Y and no
     combination has nullity 1, and every eigenvector spin is full.  Raises
@@ -187,10 +201,15 @@ def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
     n = v_mod.dim
     if n == 1:
         return IrrVerdict("irreducible", None, "oracle", "dimension 1")
+    try:
+        p, sign = _named_point(invariants(v_mod), n)
+        hint = sign.eps_prime * p.table().theta_star(0)
+    except (IdentificationFailed, NotRationalFamily, NotAModule):  # no point named
+        hint = None
     fat = {}
     for name, g, fmt in (("Y", v_mod.Y, "Y - {}"), ("X", v_mod.X, "(X - {})")):
         fat[name] = []
-        for th, shifted, kernel in _eigenspaces(g, name):
+        for th, shifted, kernel in _eigenspaces(g, name, hint if name == "Y" else None):
             label = fmt.format(_shift(th))
             if len(kernel) == 1:
                 return _norton(v_mod, shifted, kernel[0], label)
@@ -236,25 +255,18 @@ def lowering_matrix(d: int, a: RatLike, b: RatLike, c: RatLike,
 
 
 def _lowering_closed(t, d: int) -> Matrix:
-    # gaps[h - 1] = theta*_0 - theta*_{d-h+1}, lower[h - 1] = phi_lower(h), upper[h] = phi_upper(h)
-    gaps = [t.theta_star(0) - t.theta_star(d - h + 1) for h in range(1, d + 1)]
-    lower = [t.phi_lower(h) for h in range(1, d + 1)]
-    upper = [t.phi_upper(h) for h in range(d + 1)]
-    rows = []
-    for i in range(d + 1):
-        row = []
-        for j in range(d + 1):
-            if j > i or (i % 2 == 0 and j % 2 == 1):
-                row.append(_F0)
-                continue
-            val = math.prod(gaps[:i - j], start=_F1)
-            val *= math.prod(lower[:d - i], start=_F1)
-            val *= math.prod((upper[2 * h - 1] for h in range(1, (j + 1) // 2 + 1)), start=_F1)
-            val *= math.prod((upper[2 * (i // 2 - h + 1)] for h in range(1, j // 2 + 1)),
-                             start=_F1)
-            row.append(val)
-        rows.append(row)
-    return Matrix(rows)
+    # running products, built once: item k of each is the product of its first k factors
+    def running(factors):
+        return list(itertools.accumulate(factors, operator.mul, initial=_F1))
+
+    gap = running(t.theta_star(0) - t.theta_star(d - h + 1) for h in range(1, d + 1))
+    low = running(t.phi_lower(h) for h in range(1, d + 1))
+    odd = running(t.phi_upper(2 * h - 1) for h in range(1, (d + 1) // 2 + 1))
+    down = [running(t.phi_upper(2 * (q - h + 1)) for h in range(1, q + 1))
+            for q in range(d // 2 + 1)]
+    return Matrix([[_F0 if j > i or (i % 2 == 0 and j % 2 == 1) else
+                    gap[i - j] * low[d - i] * odd[(j + 1) // 2] * down[i // 2][j // 2]
+                    for j in range(d + 1)] for i in range(d + 1)])
 
 
 def _lowering_recurrence(t, d: int) -> Matrix:
@@ -294,22 +306,13 @@ class FlipBasis(NamedTuple):
 
 def a_flip_basis_matrices(d: int, a: RatLike, b: RatLike, c: RatLike) -> FlipBasis:
     """X and Y of the even-family module in the reversed-ladder basis
-    w_i = prod_{h<i} (X - theta_{d-h}) v_0.
-
-    In that basis X is again lower bidiagonal with the diagonal reversed and
-    Y is upper bidiagonal with the lower phi sequence, i.e. the module equals
-    the one built from (-a, b, c) on the nose.
-    """
+    w_i = prod_{h<i} (X - theta_{d-h}) v_0, the ladder map from (-a, b, c)
+    (whose theta_h is theta_{d-h} here): the (-a, b, c) module on the nose,
+    X lower bidiagonal with the diagonal reversed, Y with the lower phis."""
     p = EvenParams(d, a, b, c)
-    t = p.table()
-    e = p.module()
-    v0 = Matrix.identity(d + 1).rows[0]
-    basis = Matrix.from_columns(shifted_walk(e.X, v0, [t.theta(d - h) for h in range(d)]))
-    if basis.rank() != d + 1:
-        raise CertificateError("reversed-ladder basis is singular (library bug)")
-    flipped = even_module(d, -p.a, p.b, p.c)
-    certify_intertwiner(basis, flipped, e, "reversed-ladder basis")
-    return FlipBasis(flipped.X, flipped.Y, basis)
+    flipped = EvenParams(d, -p.a, p.b, p.c)
+    basis = ladder_map(flipped, p.module(), Matrix.identity(d + 1).rows[0])
+    return FlipBasis(*flipped.table().ladder(d + 1), basis)
 
 
 # --- intertwiners and isomorphism -----------------------------------------------
@@ -433,10 +436,9 @@ class InvariantData:
 
 
 def invariants(v_mod: BIModule) -> InvariantData:
-    if v_mod.lam is not None and v_mod.mu is not None:
-        lam, mu = v_mod.lam, v_mod.mu
-    else:
-        _, lam, mu = central_scalars(v_mod)
+    """With lam, mu as stored, else read off the matrices (NotAModule)."""
+    stored = v_mod.lam is not None and v_mod.mu is not None
+    lam, mu = (v_mod.lam, v_mod.mu) if stored else central_scalars(v_mod)[1:]
     return InvariantData(v_mod.X.trace(), v_mod.Y.trace(), v_mod.kappa, lam, mu)
 
 
@@ -458,59 +460,65 @@ class ClassCoordinates:
 
 
 def _sqrt_exact(q: Fraction) -> Fraction | None:
-    if q < 0:
+    rn, rd = math.isqrt(max(q.numerator, 0)), math.isqrt(q.denominator)
+    return Fraction(rn, rd) if (rn * rn, rd * rd) == (q.numerator, q.denominator) else None
+
+
+def _named_point(inv: InvariantData, n: int) -> tuple[EvenParams | OddParams, TwistSign]:
+    """The family point and twist signs (trivial for odd n) that the
+    invariants of an n-dimensional module name, uncertified.  Odd n: a, b
+    are the traces, c follows from kappa.  Even n: the signs come from the
+    traces, +-n/2 (IdentificationFailed otherwise), the parameters are exact
+    roots of the untwisted central-scalar sums (else NotRationalFamily)."""
+    if n % 2 == 1:
+        a, b = inv.trace_x, inv.trace_y
+        return OddParams(n - 1, a, b, (2 * a * b - inv.kappa) / n), TwistSign(1, 1)
+    trace_sign = {Fraction(-n, 2): 1, Fraction(n, 2): -1}
+    ea, eb = trace_sign.get(inv.trace_x), trace_sign.get(inv.trace_y)
+    if ea is None or eb is None:
+        raise IdentificationFailed("generator traces are not +-n/2; not an even-family module")
+    # untwist the central scalars with the trace signs
+    kappa, lam, mu = ea * eb * inv.kappa, ea * inv.lam, eb * inv.mu
+    params = tuple(_sqrt_exact(Fraction(n * n, 4) - s / 2)
+                   for s in (kappa + mu, lam + kappa, mu + lam))
+    if any(p is None for p in params):
+        raise NotRationalFamily("central-scalar sums are not rational squares")
+    return EvenParams(n - 1, *params), TwistSign(ea, eb)
+
+
+def _family_map(p: EvenParams | OddParams, w_mod: BIModule) -> Matrix | None:
+    """The module map from the family module at p into w_mod that sends v_0
+    into the kernel line of Y - theta*_0 (the identity if the matrices are
+    the family's), or None.  An isomorphism is such a map, so None rules one
+    out where the family's own kernel is a line (irreducible points)."""
+    if w_mod.same_matrices(p.module()):
+        return Matrix.identity(p.d + 1)
+    kernel = kernel_basis(w_mod.Y - p.table().theta_star(0) * Matrix.identity(p.d + 1))
+    try:
+        return ladder_map(p, w_mod, kernel[0]) if len(kernel) == 1 else None
+    except (AnnihilatorFails, PremiseViolated):
         return None
-    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        return None
-    return Fraction(rn, rd)
 
 
 def identify(v_mod: BIModule, *, assume_irreducible: bool = False) -> ClassCoordinates:
-    """Coordinates of an irreducible module's isomorphism class.
-
-    Even dimension: the twist signs come from the generator traces, which
-    are +-n/2 (IdentificationFailed otherwise), and the parameters are the
-    exact square roots of the untwisted central-scalar sums
-    (NotRationalFamily if they are not rational squares).  Odd dimension: a
-    and b are the traces, c follows from kappa.  Every answer is certified by
-    one explicit invertible intertwiner before being returned;
-    IdentificationFailed otherwise.
-    """
+    """Coordinates of an irreducible module's isomorphism class: the family
+    point and twist signs the invariants name (``_named_point``), certified
+    by an invertible ladder map from that family module into the untwisted
+    input (IdentificationFailed otherwise); a nonzero map out of an
+    irreducible family module is invertible (Schur), else the rank decides."""
     if not assume_irreducible:
         verdict = oracle_irreducible(v_mod)
         if not verdict.is_irreducible:
             exc = (IndeterminateIrreducibility if verdict.status == "indeterminate"
                    else IdentificationFailed)
             raise exc(f"module is not irreducible ({verdict.status})")
-    inv = invariants(v_mod)
-    n = v_mod.dim
-    d = n - 1
-    if n % 2 == 1:
-        a, b = inv.trace_x, inv.trace_y
-        family, sign, params = "odd", None, (a, b, (2 * a * b - inv.kappa) / n)
-        target, criterion = odd_module(d, *params), criterion_odd
-    else:
-        half = Fraction(n, 2)
-        trace_sign = {-half: 1, half: -1}
-        ea, eb = trace_sign.get(inv.trace_x), trace_sign.get(inv.trace_y)
-        if ea is None or eb is None:
-            raise IdentificationFailed("generator traces are not +-n/2; not an even-family module")
-        # untwist the central scalars with the trace signs
-        kappa, lam, mu = ea * eb * inv.kappa, ea * inv.lam, eb * inv.mu
-        shift = Fraction(n * n, 4)
-        params = tuple(_sqrt_exact(shift - s / 2) for s in (kappa + mu, lam + kappa, mu + lam))
-        if any(p is None for p in params):
-            raise NotRationalFamily("central-scalar sums are not rational squares")
-        family, sign = "even", TwistSign(ea, eb)
-        target, criterion = twist(even_module(d, *params), sign), criterion_even
-    # target first: its bidiagonal Y seeds the intertwiner spin, sparing a second spectrum of v_mod
-    ok, _ = are_isomorphic(target, v_mod)
-    if not ok:
-        raise IdentificationFailed(f"no invertible intertwiner to the {family} family")
-    if not criterion(d, *params):
-        raise IdentificationFailed(f"identified an {family} reducible point (library bug)")
-    return ClassCoordinates(family, d, sign, params)
+    p, sign = _named_point(invariants(v_mod), v_mod.dim)
+    t, irreducible = _family_map(p, twist(v_mod, sign)), criterion_verdict(p).is_irreducible
+    if t is None or not (irreducible or t.rank() == v_mod.dim):
+        raise IdentificationFailed(f"no invertible intertwiner to the {p.family} family")
+    if not irreducible:
+        raise IdentificationFailed(f"identified an {p.family} reducible point (library bug)")
+    return ClassCoordinates(p.family, p.d, sign if p.family == "even" else None, (p.a, p.b, p.c))
 
 
 # --- odd-family twist collapse ----------------------------------------------------
@@ -524,20 +532,16 @@ class OddTwistEntry:
 
 
 def odd_twist_check(d: int, a: RatLike, b: RatLike, c: RatLike) -> tuple[OddTwistEntry, ...]:
-    """For an irreducible odd-family module, every nontrivial twist is again
-    in the family with two parameter signs flipped; returns the three checks
-    with their intertwiners."""
+    """For an irreducible odd-family module V, the twist by (e, e') is again
+    in the family, at (e a, e' b, e e' c); returns the three checks with their
+    intertwiners twist(V) -> W: ladder maps V -> twist(W), nonzero out of an
+    irreducible V and so invertible."""
     p = OddParams(d, a, b, c)
     if not criterion_odd(d, p.a, p.b, p.c):
         raise ValueError("twist collapse requires an irreducible starting point")
-    v = p.module()
-    plan = (
-        (TwistSign(1, -1), (p.a, -p.b, -p.c)),
-        (TwistSign(-1, 1), (-p.a, p.b, -p.c)),
-        (TwistSign(-1, -1), (-p.a, -p.b, p.c)),
-    )
     out = []
-    for sign, target in plan:
-        ok, t = are_isomorphic(twist(v, sign), odd_module(d, *target))
-        out.append(OddTwistEntry(sign, target, ok, t))
+    for sign in ALL_TWISTS[1:]:
+        target = (sign.eps * p.a, sign.eps_prime * p.b, sign.eps * sign.eps_prime * p.c)
+        t = _family_map(p, twist(odd_module(d, *target), sign))
+        out.append(OddTwistEntry(sign, target, t is not None, t))
     return tuple(out)

@@ -273,14 +273,9 @@ def cmd_classify(args, report: dict, source) -> int:
     if verdict.is_irreducible:
         try:
             report["class"] = _coords_fragment(identify(mod, assume_irreducible=True))
-        except NotRationalFamily as exc:
-            report["class"] = None
-            report["identify_error"] = str(exc)
-            code = EXIT_INPUT
-        except IdentificationFailed as exc:
-            report["class"] = None
-            report["identify_error"] = str(exc)
-            code = EXIT_FAIL
+        except (NotRationalFamily, IdentificationFailed) as exc:
+            report["class"], report["identify_error"] = None, str(exc)
+            code = EXIT_INPUT if isinstance(exc, NotRationalFamily) else EXIT_FAIL
     return code
 
 

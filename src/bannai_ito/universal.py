@@ -14,7 +14,8 @@ The mapping property: if a vector v of a module V satisfies
 and kappa, lambda, mu act on V by the table's central scalars, then
 m_i |-> prod_{h<i} (X - theta_h) v extends to a module map.  With delta = d
 and the extra premise prod_{i<=d} (X - theta_i) v = 0 the map factors through
-the (d+1)-dimensional even-family module, giving an explicit intertwiner.
+the (d+1)-dimensional family module, giving an explicit intertwiner: the
+ladder map (the odd family's is the same walk with the odd table's shifts).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bimodule import BIModule, CertificateError, EvenParams, SequenceTable, \
+from .bimodule import BIModule, CertificateError, EvenParams, FamilyParams, SequenceTable, \
     certify_intertwiner, check_relations, derive_Z, relation_residuals
 from .exactlinalg import Matrix, RatLike, Vector, rat, shifted_walk, vec
 
@@ -40,7 +41,7 @@ class PremiseViolated(Exception):
 
 
 class AnnihilatorFails(Exception):
-    """The degree-(d+1) annihilator premise of the descent map fails."""
+    """The degree-(d+1) annihilator premise of the ladder map fails."""
 
 
 @dataclass(frozen=True)
@@ -138,27 +139,27 @@ def universal_map(delta: RatLike, a: RatLike, b: RatLike, c: RatLike,
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    t = SequenceTable(rat(delta), rat(a), rat(b), rat(c))
-    v = vec(v)
+    t, v = SequenceTable(rat(delta), rat(a), rat(b), rat(c)), vec(v)
     _check_premises(t, v_mod, v)
     return shifted_walk(v_mod.X, v, [t.theta(i) for i in range(count - 1)])
 
 
-def descend_to_even(params: EvenParams, v_mod: BIModule, v) -> Matrix:
-    """Intertwiner from the even-family module with these parameters into v_mod.
-
-    Premises: the universal-map premises for delta = d, plus the annihilator
-    condition prod_{i=0}^{d} (X - theta_i) v = 0 (AnnihilatorFails otherwise).
-    Columns of the result are the ladder images of v; both intertwining
-    equations are checked before returning (CertificateError otherwise).
-    """
-    d = params.d
-    images = universal_map(d, params.a, params.b, params.c, v_mod, v, d + 2)
-    if any(images[d + 1]):
-        raise AnnihilatorFails(
-            f"prod (X - theta_i) v = {images[d + 1]}, expected zero")
-    return certify_intertwiner(Matrix.from_columns(images[:d + 1]), params.module(),
-                               v_mod, "descent map")
+def ladder_map(params: FamilyParams, v_mod: BIModule, v) -> Matrix:
+    """The module map from the family module at ``params`` into v_mod with
+    v_i -> prod_{h<i} (X - theta_h) v: one walk of v under X with shifts
+    theta_0 ... theta_d, whose last vector must vanish (AnnihilatorFails),
+    certified as an intertwiner (CertificateError).  The premises are checked
+    only after a failure, so that PremiseViolated names the broken one."""
+    t, d, v = params.table(), params.d, vec(v)
+    walk = shifted_walk(v_mod.X, v, [t.theta(i) for i in range(d + 1)])
+    try:
+        if any(walk[d + 1]):
+            raise AnnihilatorFails(f"prod (X - theta_i) v = {walk[d + 1]}, expected zero")
+        return certify_intertwiner(Matrix.from_columns(walk[:d + 1]), params.module(),
+                                   v_mod, "ladder map")
+    except (AnnihilatorFails, CertificateError):
+        _check_premises(t, v_mod, v)
+        raise
 
 
 @dataclass(frozen=True)

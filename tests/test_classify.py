@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bannai_ito import classify
-from bannai_ito.bimodule import BIModule, CertificateError, EvenParams, TwistSign, \
-    even_module, example_even, example_odd, odd_module, twist
+from bannai_ito.bimodule import ALL_TWISTS, BIModule, CertificateError, EvenParams, \
+    NotAModule, OddParams, TwistSign, even_module, example_even, example_odd, odd_module, twist
 from bannai_ito.classify import ClassCoordinates, IdentificationFailed, \
     IndeterminateIsomorphism, NonSplitSpectrum, NotRationalFamily, a_flip_basis_matrices, \
     are_isomorphic, criterion_even, criterion_odd, criterion_verdict, identify, \
@@ -199,10 +199,10 @@ def test_oracle_spins_fat_eigenspaces_of_direct_sums(monkeypatch, d):
     # X is looked at
     real_eigenspaces = classify._eigenspaces
 
-    def y_only(g, name):
+    def y_only(g, name, *first):
         if name != "Y":
             raise AssertionError("X must not be looked at")
-        return real_eigenspaces(g, name)
+        return real_eigenspaces(g, name, *first)
 
     monkeypatch.setattr(classify, "_eigenspaces", y_only)
     a, b, c = F(1, 3), F(2, 7), F(5, 11)
@@ -218,14 +218,15 @@ def test_oracle_spins_fat_eigenspaces_of_direct_sums(monkeypatch, d):
 
 
 @pytest.mark.parametrize("b, text", [
-    (F(1, 2), "spin of the kernel of Y - (-1) is not a submodule"),
-    (F(-1, 2), "dual-spin annihilator for the kernel of Y - (-1) is not a submodule"),
+    (F(-1, 2), "spin of the kernel of Y - (-1) is not a submodule"),
+    (F(1, 2), "dual-spin annihilator for the kernel of Y - (-1) is not a submodule"),
 ])
 def test_norton_witness_certificate_texts(monkeypatch, b, text):
-    # a rejected primal (b = 1/2) or dual (b = -1/2) Norton witness names its source
+    # a rejected primal (b = -1/2) or dual (b = 1/2) Norton witness names its
+    # source; the Norton element is Y - theta*_0 of the named point E_3(0, 1/2, 1/2)
     monkeypatch.setattr(classify, "verify_invariant_subspace", lambda v_mod, basis: False)
     with pytest.raises(CertificateError) as exc:
-        oracle_irreducible(even_module(1, 0, b, F(1, 2)))
+        oracle_irreducible(even_module(3, 0, b, F(1, 2)))
     assert str(exc.value) == text
 
 
@@ -247,6 +248,14 @@ def test_oracle_nonsplit_spectrum():
     x = Matrix([[0, 1], [2, 0]])
     with pytest.raises(NonSplitSpectrum, match="spectrum of X is not rational"):
         oracle_irreducible(BIModule(x, Matrix.zero(2, 2), kappa=F(0)))
+
+
+def test_invariants_of_a_non_module_without_stored_scalars():
+    # nothing to read lambda and mu from: the relations fail, so no family
+    # point is named and the oracle goes on without a hint
+    mod = BIModule(Matrix.identity(2), Matrix([[0, 1], [2, 0]]), kappa=F(0))
+    with pytest.raises(NotAModule):
+        invariants(mod)
 
 
 def test_verify_invariant_subspace_edges():
@@ -635,10 +644,10 @@ def test_identify_round_trip_with_twists():
         assert coords.params == (F(1), F(0), F(1))
 
 
-def test_identify_computes_one_spectrum_of_a_conjugate(monkeypatch):
-    # the target family module goes first in are_isomorphic, so its
-    # bidiagonal Y is read off the diagonal and only the oracle pays for the
-    # spectrum of the conjugate's dense Y
+def test_identify_computes_no_spectrum_of_a_conjugate(monkeypatch):
+    # the invariants name theta*_0, whose kernel line is the oracle's Norton
+    # element and the ladder map's seed, so the conjugate's dense Y never
+    # needs a spectrum
     calls = []
 
     def counting_rational_spectrum(m):
@@ -654,7 +663,7 @@ def test_identify_computes_one_spectrum_of_a_conjugate(monkeypatch):
     assert calls.count(False) == 0
     calls.clear()
     assert identify(mod) == expected
-    assert calls.count(False) == 1
+    assert calls.count(False) == 0
 
 
 def test_identify_recovers_orbit_representative():
@@ -697,6 +706,36 @@ def test_identify_failure_outside_family():
     mod = BIModule(x, y, kappa=F(0), lam=F(0), mu=F(0))
     with pytest.raises(IdentificationFailed, match="no invertible intertwiner"):
         identify(mod)
+
+
+def test_identify_direct_sum_names_an_irreducible_point():
+    # E_1(1, 1, 1) + E_1(1, 1, 1) has the traces and central scalars of the
+    # irreducible E_3(2, 2, 2), but a 2-dimensional ker(Y - theta*_0)
+    e = even_module(1, 1, 1, 1)
+    s = BIModule(classify._direct_sum(e.X, e.X), classify._direct_sum(e.Y, e.Y),
+                 e.kappa, e.lam, e.mu)
+    assert classify._named_point(invariants(s), 4) == (EvenParams(3, 2, 2, 2), TwistSign(1, 1))
+    with pytest.raises(IdentificationFailed) as exc:
+        identify(s, assume_irreducible=True)
+    assert str(exc.value) == "no invertible intertwiner to the even family"
+
+
+def test_family_maps_make_no_hom_search(monkeypatch):
+    # identify, the a-flip basis and the odd twist collapse each come from
+    # one ladder map, never from the general intertwiner search
+    def forbidden(*args, **kwargs):
+        raise AssertionError("general Hom search called")
+
+    for name in ("are_isomorphic", "_hom", "intertwiner_space"):
+        monkeypatch.setattr(classify, name, forbidden)
+    e = even_module(3, F(1, 3), F(-2, 7), F(5, 11))
+    p_inv = _P4.inverse()
+    mod = BIModule(_P4 * e.X * p_inv, _P4 * e.Y * p_inv, e.kappa, e.lam, e.mu)
+    assert identify(twist(mod, TwistSign(-1, 1))) == ClassCoordinates(
+        "even", 3, TwistSign(-1, 1), (F(1, 3), F(2, 7), F(5, 11)))
+    assert identify(example_odd()).family == "odd"
+    assert a_flip_basis_matrices(3, 1, 0, 1).basis.is_upper_triangular()
+    assert all(entry.isomorphic for entry in odd_twist_check(4, F(3, 2), F(1, 2), F(-1, 2)))
 
 
 def test_orbit_canonical():
@@ -755,3 +794,57 @@ def test_identify_odd_round_trip_property(a, b, c):
         return
     coords = identify(odd_module(2, a, b, c), assume_irreducible=True)
     assert coords == ClassCoordinates("odd", 2, None, (F(a), F(b), F(c)))
+
+
+_GRID = (F(0), F(1, 2), F(-1, 2), F(1), F(-1), F(-3, 2), F(2, 7))
+
+
+@given(family_d=st.sampled_from([("even", 1), ("even", 3), ("odd", 0), ("odd", 2), ("odd", 4)]),
+       a=st.sampled_from(_GRID), b=st.sampled_from(_GRID), c=st.sampled_from(_GRID),
+       sign=st.sampled_from(ALL_TWISTS), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_conjugated_family_points_property(family_d, a, b, c, sign, seed):
+    # a seeded unimodular conjugate of a twisted family point: the oracle
+    # agrees with the criterion, identify recovers the coordinates, and a
+    # spectrum of a non-triangular matrix is computed only when the kernel
+    # of Y - eps' theta*_0 at the named point is not a line
+    family, d = family_d
+    even = family == "even"
+    base = (even_module if even else odd_module)(d, a, b, c)
+    v = twist(base, sign)
+    n = v.dim
+    rng = random.Random(seed)
+    low = Matrix([[1 if i == j else rng.randint(-1, 1) if j < i else 0 for j in range(n)]
+                  for i in range(n)])
+    up = Matrix([[1 if i == j else rng.randint(-1, 1) if j > i else 0 for j in range(n)]
+                 for i in range(n)])
+    p = low * up
+    p_inv = p.inverse()
+    mod = BIModule(p * v.X * p_inv, p * v.Y * p_inv, v.kappa, v.lam, v.mu)
+    if even:
+        named = EvenParams(d, *orbit_canonical(a, b, c))
+        theta = sign.eps_prime * named.table().theta_star(0)
+        expected = ClassCoordinates("even", d, sign, (named.a, named.b, named.c))
+    else:
+        e, ep = sign.eps, sign.eps_prime
+        named = OddParams(d, e * a, ep * b, e * ep * c)
+        theta = named.table().theta_star(0)
+        expected = ClassCoordinates("odd", d, None, (named.a, named.b, named.c))
+    line = len(kernel_basis(mod.Y - theta * Matrix.identity(n))) == 1
+    dense = []
+    real_spectrum = classify.rational_spectrum
+
+    def counting_spectrum(m):
+        dense.append(not (m.is_upper_triangular() or m.is_lower_triangular()))
+        return real_spectrum(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "rational_spectrum", counting_spectrum)
+        verdict = oracle_irreducible(mod)
+        holds = (criterion_even if even else criterion_odd)(d, a, b, c)
+        assert verdict.status == ("irreducible" if holds else "reducible")
+        if verdict.is_reducible:
+            assert verify_invariant_subspace(mod, verdict.witness)
+        else:
+            assert identify(mod, assume_irreducible=True) == expected
+    assert not any(dense) or not line

@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bannai_ito.bimodule import BIModule, EvenParams, check_relations, \
-    even_module, example_even, odd_module
+from bannai_ito.bimodule import BIModule, CertificateError, EvenParams, OddParams, \
+    check_relations, even_module, example_even, odd_module
 from bannai_ito.exactlinalg import Matrix
 from bannai_ito.universal import (
     AnnihilatorFails,
     PremiseViolated,
-    descend_to_even,
     interior_relation_check,
+    ladder_map,
     ladder_vector,
     truncated_verma,
     universal_map,
@@ -103,13 +103,13 @@ def test_universal_map_premise_central_scalars():
 
 def test_descend_identity_on_ladder_head():
     v_mod = example_even()
-    t = descend_to_even(EvenParams(3, 1, 0, 1), v_mod, (1, 0, 0, 0))
+    t = ladder_map(EvenParams(3, 1, 0, 1), v_mod, (1, 0, 0, 0))
     assert t == Matrix.identity(4)
 
 
 def test_descend_reducible_gives_singular_intertwiner():
     v_mod = even_module(1, 0, 0, 0)
-    t = descend_to_even(EvenParams(1, 0, 0, 0), v_mod, (0, 1))
+    t = ladder_map(EvenParams(1, 0, 0, 0), v_mod, (0, 1))
     assert t == Matrix([[0, 0], [1, 0]])
     assert t.rank() == 1  # non-invertible: the target vector generates a proper piece
     assert t * v_mod.X == v_mod.X * t
@@ -124,7 +124,7 @@ def test_descend_annihilator_fails():
     w = BIModule(tv.X, tv.Y, tv.kappa, tv.lam, tv.mu)
     assert check_relations(w).ok  # truncation is exact here because phi_3 = 0
     with pytest.raises(AnnihilatorFails):
-        descend_to_even(EvenParams(1, 0, 0, 2), w, (1, 0, 0))
+        ladder_map(EvenParams(1, 0, 0, 2), w, (1, 0, 0))
     # but the plain universal map is fine with it
     images = universal_map(1, 0, 0, 2, w, (1, 0, 0), count=3)
     assert images[2] == (F(0), F(0), F(1))
@@ -158,5 +158,41 @@ def test_descend_onto_built_module(d, a, b, c):
     # from the matching parameters is the identity
     v_mod = even_module(d, a, b, c)
     seed = tuple(F(1) if i == 0 else F(0) for i in range(d + 1))
-    t = descend_to_even(EvenParams(d, a, b, c), v_mod, seed)
+    t = ladder_map(EvenParams(d, a, b, c), v_mod, seed)
     assert t == Matrix.identity(d + 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([0, 2, 4]), rationals, rationals, rationals)
+def test_ladder_map_onto_built_odd_module(d, a, b, c):
+    # the odd family's ladder map is the same walk with the odd table
+    seed = tuple(F(1) if i == 0 else F(0) for i in range(d + 1))
+    assert ladder_map(OddParams(d, a, b, c), odd_module(d, a, b, c), seed) == Matrix.identity(d + 1)
+
+
+def test_ladder_map_wrong_seed_names_premise():
+    # e_1 is not a Y-eigenvector of E_1(1, 1, 1): the walk does not close
+    with pytest.raises(PremiseViolated) as exc:
+        ladder_map(EvenParams(1, 1, 1, 1), even_module(1, 1, 1, 1), (0, 1))
+    assert exc.value.premise == "highest_weight"
+    # same (theta*, theta) data but a different phi_1
+    with pytest.raises(PremiseViolated) as exc:
+        ladder_map(EvenParams(1, 1, 1, 1), even_module(1, 1, 1, 0), (1, 0))
+    assert exc.value.premise == "second_order"
+    # a 1-dimensional module whose kappa disagrees with the table
+    with pytest.raises(PremiseViolated) as exc:
+        ladder_map(EvenParams(1, 1, 1, 1), odd_module(0, -1, "1/2", 5), (1,))
+    assert exc.value.premise == "kappa"
+
+
+def test_ladder_map_failure_with_premises_met_is_a_library_bug(monkeypatch):
+    # every premise holds, so a map that does not intertwine is a bug
+    real_module = EvenParams.module
+
+    def perturbed(self):
+        e = real_module(self)
+        return BIModule(e.X, e.Y + Matrix.identity(e.dim), e.kappa, e.lam, e.mu)
+
+    monkeypatch.setattr(EvenParams, "module", perturbed)
+    with pytest.raises(CertificateError, match=r"^ladder map fails to intertwine \(library bug\)$"):
+        ladder_map(EvenParams(3, 1, 0, 1), example_even(), (1, 0, 0, 0))
