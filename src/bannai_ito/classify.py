@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -62,8 +63,8 @@ class IndeterminateIrreducibility(IdentificationFailed):
 
 class IndeterminateIsomorphism(Exception):
     """The intertwiner space has dimension >= 2 (so both modules are
-    reducible) and the bounded search over it found no invertible element;
-    the question is left open."""
+    reducible), and neither its basis nor ten random combinations held an
+    invertible element: probability below 2**-30 if one exists."""
 
 
 # --- irreducibility: criterion route ------------------------------------------
@@ -392,9 +393,11 @@ def are_isomorphic(v_mod: BIModule, w_mod: BIModule) -> tuple[bool, Matrix | Non
     After the cheap invariants, the intertwiner space comes from one graph
     spin (``_hom``).  Not isomorphic when a seeding Y-eigenspace differs in
     dimension between V and W, or when the space is zero or a line spanned
-    by a singular map.  Otherwise its basis, then small combinations, are
-    searched; IndeterminateIsomorphism is raised only when a space of
-    dimension >= 2 yields nothing invertible.
+    by a singular map.  Otherwise the basis elements are tried, then ten
+    draws sum c_i T_i over the whole basis, c_i uniform in [-4n, 4n] from
+    random.Random(0): if some T is invertible, each draw is singular with
+    probability at most n/(8n+1) < 1/8 (Schwartz, J. ACM 27, 1980), all ten
+    below 2**-30, and only then is IndeterminateIsomorphism raised.
     """
     if v_mod.dim != w_mod.dim or v_mod.kappa != w_mod.kappa:
         return (False, None)
@@ -405,14 +408,11 @@ def are_isomorphic(v_mod: BIModule, w_mod: BIModule) -> tuple[bool, Matrix | Non
     space, nullities_agree = _hom(v_mod, w_mod)
     if not nullities_agree or not space:
         return (False, None)
-    # the basis elements, then combinations of the first three with at least
-    # two nonzero coefficients in (0, +-1, +-2)
-    grid = (cs for cs in itertools.product((0, 1, -1, 2, -2), repeat=min(len(space), 3))
-            if sum(1 for cf in cs if cf) >= 2)
-    combos = (sum((el * cf for cf, el in zip(cs[1:], space[1:])), space[0] * cs[0])
-              for cs in grid)
-    for t in itertools.chain(space, combos):
-        if t.rank() == v_mod.dim:
+    n, rng = v_mod.dim, random.Random(0)
+    draws = (sum((el * rng.randint(-4 * n, 4 * n) for el in space), Matrix.zero(n))
+             for _ in range(10 if len(space) > 1 else 0))
+    for t in itertools.chain(space, draws):
+        if t.rank() == n:
             return (True, certify_intertwiner(t, v_mod, w_mod, "intertwiner-space element"))
     if len(space) == 1:
         return (False, None)  # every intertwiner is a multiple of one singular map
@@ -487,10 +487,10 @@ def _named_point(inv: InvariantData, n: int) -> tuple[EvenParams | OddParams, Tw
 
 
 def _family_map(p: EvenParams | OddParams, w_mod: BIModule) -> Matrix | None:
-    """The module map from the family module at p into w_mod that sends v_0
-    into the kernel line of Y - theta*_0 (the identity if the matrices are
-    the family's), or None.  An isomorphism is such a map, so None rules one
-    out where the family's own kernel is a line (irreducible points)."""
+    """The module map from the family module at an irreducible point p (where
+    ker(Y - theta*_0) is a line) into w_mod that sends v_0 into the kernel
+    line of Y - theta*_0, or the identity if the matrices are the family's.
+    None means "not isomorphic"; a nonzero map is invertible (Schur)."""
     if w_mod.same_matrices(p.module()):
         return Matrix.identity(p.d + 1)
     kernel = kernel_basis(w_mod.Y - p.table().theta_star(0) * Matrix.identity(p.d + 1))
@@ -503,9 +503,9 @@ def _family_map(p: EvenParams | OddParams, w_mod: BIModule) -> Matrix | None:
 def identify(v_mod: BIModule, *, assume_irreducible: bool = False) -> ClassCoordinates:
     """Coordinates of an irreducible module's isomorphism class: the family
     point and twist signs the invariants name (``_named_point``), certified
-    by an invertible ladder map from that family module into the untwisted
-    input (IdentificationFailed otherwise); a nonzero map out of an
-    irreducible family module is invertible (Schur), else the rank decides."""
+    by the ladder map from that family module into the untwisted input
+    (``_family_map``).  IdentificationFailed when the named point is
+    reducible (checked before any map) or when no such map exists."""
     if not assume_irreducible:
         verdict = oracle_irreducible(v_mod)
         if not verdict.is_irreducible:
@@ -513,11 +513,10 @@ def identify(v_mod: BIModule, *, assume_irreducible: bool = False) -> ClassCoord
                    else IdentificationFailed)
             raise exc(f"module is not irreducible ({verdict.status})")
     p, sign = _named_point(invariants(v_mod), v_mod.dim)
-    t, irreducible = _family_map(p, twist(v_mod, sign)), criterion_verdict(p).is_irreducible
-    if t is None or not (irreducible or t.rank() == v_mod.dim):
+    if not criterion_verdict(p).is_irreducible:
+        raise IdentificationFailed(f"the invariants name a reducible {p.family} point")
+    if _family_map(p, twist(v_mod, sign)) is None:
         raise IdentificationFailed(f"no invertible intertwiner to the {p.family} family")
-    if not irreducible:
-        raise IdentificationFailed(f"identified an {p.family} reducible point (library bug)")
     return ClassCoordinates(p.family, p.d, sign if p.family == "even" else None, (p.a, p.b, p.c))
 
 

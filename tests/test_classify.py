@@ -24,6 +24,7 @@ from bannai_ito.classify import ClassCoordinates, IdentificationFailed, \
     verify_invariant_subspace
 from bannai_ito.exactlinalg import Matrix, RrefAccumulator, kernel_basis, \
     rational_spectrum, rref, spin
+from bannai_ito.universal import PremiseViolated, ladder_map
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 
@@ -90,6 +91,15 @@ _P4 = Matrix([[1, 1, -1, 0], [1, 2, -2, 1], [-1, 0, 1, 0], [-1, -1, 1, 1]])
 def _conjugate(x: Matrix, y: Matrix, p: Matrix) -> BIModule:
     p_inv = p.inverse()
     return BIModule(p * x * p_inv, p * y * p_inv, kappa=F(0), lam=F(0), mu=F(0))
+
+
+def _unimodular(n: int, rng: random.Random) -> Matrix:
+    """L U with L, U unit triangular and entries in {-1, 0, 1} from rng."""
+    low = Matrix([[1 if i == j else rng.randint(-1, 1) if j < i else 0 for j in range(n)]
+                  for i in range(n)])
+    up = Matrix([[1 if i == j else rng.randint(-1, 1) if j > i else 0 for j in range(n)]
+                 for i in range(n)])
+    return low * up
 
 
 def _block_sum(seed: int, size: int) -> BIModule:
@@ -458,6 +468,43 @@ def test_are_isomorphic_seed_eigenspace_nullities_differ():
     assert are_isomorphic(v, w) == (False, None)
 
 
+@pytest.mark.parametrize("k", [3, 4, 6])
+def test_are_isomorphic_direct_power_against_a_conjugate(k):
+    # Hom(E^k, P E^k P^-1) is k^2-dimensional and every basis element has
+    # rank 2; random combinations of the whole basis find an isomorphism
+    e = even_module(1, F(1, 3), F(2, 7), F(5, 11))
+    x, y = classify._direct_sum(*[e.X] * k), classify._direct_sum(*[e.Y] * k)
+    p = _unimodular(2 * k, random.Random(k))
+    p_inv = p.inverse()
+    v = BIModule(x, y, e.kappa, e.lam, e.mu)
+    w = BIModule(p * x * p_inv, p * y * p_inv, e.kappa, e.lam, e.mu)
+    assert all(t.rank() < 2 * k for t in intertwiner_space(v, w))
+    ok, t = are_isomorphic(v, w)
+    assert ok and t.rank() == 2 * k
+    assert t * v.X == w.X * t and t * v.Y == w.Y * t
+
+
+def test_are_isomorphic_search_is_ten_draws_after_the_basis(monkeypatch):
+    # a 2-dimensional Hom with nothing invertible (the indeterminate pair
+    # above): one rank per basis element, then one per draw, ten draws
+    ranks = []
+    real_rank = Matrix.rank
+
+    def counting_rank(self):
+        ranks.append(self)
+        return real_rank(self)
+
+    y = Matrix.zero(2, 2)
+    v = BIModule(Matrix([[0, 1], [0, 0]]), y, kappa=F(0), lam=F(0), mu=F(0))
+    w = BIModule(Matrix.zero(2, 2), y, kappa=F(0), lam=F(0), mu=F(0))
+    space = intertwiner_space(v, w)
+    assert len(space) == 2
+    monkeypatch.setattr(Matrix, "rank", counting_rank)
+    with pytest.raises(IndeterminateIsomorphism):
+        are_isomorphic(v, w)
+    assert ranks[:2] == list(space) and len(ranks) == 12
+
+
 def test_intertwiner_spin_outcomes(monkeypatch):
     # plain operator pairs, not modules: e_0 spans ker Y on both sides, so
     # (e_0; e_0) is the first seed of the graph spin
@@ -609,7 +656,7 @@ def test_certificates_checked_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines() == [
-        "identify: identified an even reducible point (library bug)",
+        "identify: the invariants name a reducible even point",
         "oracle: spin of an eigenvector in the kernel of Y - (-1/2) is not a submodule",
     ]
 
@@ -720,6 +767,38 @@ def test_identify_direct_sum_names_an_irreducible_point():
     assert str(exc.value) == "no invertible intertwiner to the even family"
 
 
+@pytest.mark.parametrize("sign", ALL_TWISTS, ids=lambda s: f"{s.eps},{s.eps_prime}")
+def test_identify_rejects_a_reducible_named_point_before_mapping(monkeypatch, sign):
+    # twists of E_1(-1, 0, -1) name the reducible point E_1(1, 0, 1), to which
+    # they are isomorphic; the criterion rejects it before any map is built
+    def forbidden(*args):
+        raise AssertionError("family map built at a reducible point")
+
+    monkeypatch.setattr(classify, "_family_map", forbidden)
+    with pytest.raises(IdentificationFailed) as exc:
+        identify(twist(even_module(1, -1, 0, -1), sign), assume_irreducible=True)
+    assert str(exc.value) == "the invariants name a reducible even point"
+
+
+def test_identify_failed_ladder_walk():
+    # the invariants name the irreducible E_1(1, 1, 1) and ker(Y - 1/2) is a
+    # line, but its vector fails the second-order premise: no map, so no class
+    x = Matrix([["-1/2", 0], [1, "-1/2"]])
+    y = Matrix([["1/2", 1], [0, "-3/2"]])
+    mod = BIModule(x, y, kappa=F(0), lam=F(0), mu=F(0))
+    p, sign = classify._named_point(invariants(mod), 2)
+    assert (p, sign) == (EvenParams(1, 1, 1, 1), TwistSign(1, 1))
+    kernel = kernel_basis(y - F(1, 2) * Matrix.identity(2))
+    assert len(kernel) == 1
+    with pytest.raises(PremiseViolated) as exc:
+        ladder_map(p, mod, kernel[0])
+    assert exc.value.premise == "second_order"
+    assert classify._family_map(p, mod) is None
+    with pytest.raises(IdentificationFailed) as exc:
+        identify(mod, assume_irreducible=True)
+    assert str(exc.value) == "no invertible intertwiner to the even family"
+
+
 def test_family_maps_make_no_hom_search(monkeypatch):
     # identify, the a-flip basis and the odd twist collapse each come from
     # one ladder map, never from the general intertwiner search
@@ -813,12 +892,7 @@ def test_conjugated_family_points_property(family_d, a, b, c, sign, seed):
     base = (even_module if even else odd_module)(d, a, b, c)
     v = twist(base, sign)
     n = v.dim
-    rng = random.Random(seed)
-    low = Matrix([[1 if i == j else rng.randint(-1, 1) if j < i else 0 for j in range(n)]
-                  for i in range(n)])
-    up = Matrix([[1 if i == j else rng.randint(-1, 1) if j > i else 0 for j in range(n)]
-                 for i in range(n)])
-    p = low * up
+    p = _unimodular(n, random.Random(seed))
     p_inv = p.inverse()
     mod = BIModule(p * v.X * p_inv, p * v.Y * p_inv, v.kappa, v.lam, v.mu)
     if even:

@@ -186,6 +186,28 @@ def test_malformed_rows_exit_2(capsys, tmp_path, command, x):
     assert code == 2 and err.startswith("error:")
 
 
+_ONE = {"dim": 1, "X": [["1"]], "Y": [["0"]], "kappa": "0"}
+
+
+@pytest.mark.parametrize("argv,doc,message", [
+    (["build", "--family", "even", "--d", "1", "--a", "1", "--b", "1", "--c", "1",
+      "--twist=1,2"], None,
+     "twist must be a sign pair like 1,-1 with each sign 1 or -1, got '1,2'"),
+    (["scan", "--family", "even", "--d", "1", "--values=,"], None,
+     "--values must list at least one rational"),
+    (["check", "{path}"], None, "cannot read {path}: "),
+    (["check", "{path}"], dict(_ONE, X=[[1]]), "rational must be a string, got 1"),
+    (["check", "{path}"], dict(_ONE, meta=[]), "meta must be an object"),
+], ids=["build-twist", "scan-values", "check-missing", "check-entry", "check-meta"])
+def test_bad_input_exits_2(capsys, tmp_path, argv, doc, message):
+    path = str(tmp_path / "m.json")
+    if doc is not None:
+        Path(path).write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message.format(path=path))
+
+
 # --- classify / identify -------------------------------------------------------------
 
 def test_classify_fixture(capsys, tmp_path):
@@ -270,6 +292,21 @@ def test_classify_indeterminate_exit_code(capsys, tmp_path, monkeypatch):
     assert code == 3
     doc = json.loads(out)
     assert doc["oracle"]["status"] == "indeterminate" and doc["exit"] == 3
+
+
+def test_classify_reports_identify_error(capsys, tmp_path):
+    # E_1(sqrt 2, 0, 1) after a basis change: irreducible, but its
+    # central-scalar sums are not rational squares, so no class is named
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 2, "X": [["-1/2", "2"], ["1", "-1/2"]],
+                                "Y": [["-1/2", "-1"], ["0", "-1/2"]], "kappa": "0"}))
+    code, out, _ = run_cli(capsys, "classify", str(path), "--no-timing")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["oracle"]["status"] == "irreducible"
+    assert doc["class"] is None
+    assert doc["identify_error"] == "central-scalar sums are not rational squares"
+    assert doc["exit"] == 2
 
 
 def test_identify_example_odd(capsys, tmp_path):

@@ -22,7 +22,9 @@ from bannai_ito.exactlinalg import (
     is_squarefree,
     kernel_basis,
     min_poly,
+    rat,
     rational_roots,
+    rational_spectrum,
     rref,
     shifted_walk,
     spin,
@@ -404,6 +406,32 @@ def test_accumulator_rejects_wrong_length():
 def test_floats_are_rejected(call):
     # a float entry would make the result inexact; it is refused like rat(0.5)
     with pytest.raises(TypeError, match=r"^not an exact rational: 0\.5$"):
+        call()
+
+
+_ROW = Matrix([[1, 2]])
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: Matrix.identity(2) + _ROW, ValueError, r"shape mismatch \(2, 2\) vs \(1, 2\)"),
+    (lambda: Matrix.identity(2) - _ROW, ValueError, r"shape mismatch \(2, 2\) vs \(1, 2\)"),
+    (lambda: _ROW.matvec((1,)), ValueError, "vector length mismatch"),
+    (lambda: _ROW.trace(), ValueError, "trace of non-square matrix"),
+    (lambda: _ROW.det(), ValueError, "determinant of non-square matrix"),
+    (lambda: _ROW.inverse(), ValueError, "inverse of non-square matrix"),
+    (lambda: char_poly(_ROW), ValueError, "characteristic polynomial of non-square matrix"),
+    (lambda: rational_spectrum(_ROW), ValueError, "spectrum of non-square matrix"),
+    (lambda: min_poly(_ROW), ValueError, "minimal polynomial of non-square matrix"),
+    (lambda: Poly(()).leading, ValueError, "zero polynomial has no leading coefficient"),
+    (lambda: divmod(Poly((1, 1)), Poly(())), ZeroDivisionError, "polynomial division by zero"),
+    (lambda: rational_roots(Poly(())), ValueError, "zero polynomial"),
+    (lambda: is_squarefree(Poly(())), ValueError, "zero polynomial"),
+    (lambda: spin([], []), ValueError, "need at least one operator"),
+    (lambda: rat(1.5), TypeError, r"not an exact rational: 1\.5"),
+], ids=["add", "sub", "matvec", "trace", "det", "inverse", "char_poly", "rational_spectrum",
+        "min_poly", "leading", "divmod", "rational_roots", "is_squarefree", "spin", "rat"])
+def test_guards_raise(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
         call()
 
 

@@ -1,7 +1,8 @@
 """Repository hygiene: the runtime imports only the standard library and no
 layer imports another's private names, no library guarantee rests on an
 `assert` (stripped under `python -O`), no file that .gitignore excludes is
-tracked, and every library name the benchmark traces still resolves."""
+tracked, every library name the benchmark traces still resolves, and
+`__all__` lists exactly the public names the package binds."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ import importlib.util
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,12 @@ def test_benchmark_trace_targets_resolve():
         if not found:
             missing.append(f"{home}.{attr}")
     assert missing == []
+
+
+def test_package_all_matches_its_public_names():
+    # the import block and __all__ of the package must not drift apart
+    import bannai_ito
+
+    bound = {name for name, value in vars(bannai_ito).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(bannai_ito.__all__) == sorted(bound)
