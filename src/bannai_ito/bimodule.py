@@ -6,7 +6,8 @@ exact rational matrices (X, Y) together with the scalar kappa by which
 {X, Y} - Z acts, with Z always *derived* as {X, Y} - kappa*I.  Two families of
 modules are constructed in closed form: an even-dimensional one (dimension
 d + 1 with d odd) and an odd-dimensional one (d even).  Both have X lower
-bidiagonal with free subdiagonal 1 and Y upper bidiagonal.
+bidiagonal with free subdiagonal 1 and Y upper bidiagonal; a family point
+(``EvenParams``, ``OddParams``) is its own ``SequenceTable`` at delta = d.
 """
 
 from __future__ import annotations
@@ -43,21 +44,20 @@ def _sign(i: int) -> int:
 
 @dataclass(frozen=True)
 class SequenceTable:
-    """Closed-form eigenvalue/superdiagonal sequences of either family and of
-    Verma-type modules (even family); `delta` may be any rational (it equals d
-    on the (d+1)-dimensional module).
+    """Closed-form sequences of the Verma-type module M_delta(a, b, c), the
+    even family's formulas; `delta` may be any rational.  A family point
+    (``FamilyParams``) is its own table at delta = d, and the odd family
+    overrides phi_upper and central_scalars.
 
     theta(i)      eigenvalue sequence of X
     theta_star(i) eigenvalue sequence of Y
-    phi_upper(i)  superdiagonal of Y in the standard ladder basis
-    phi_lower(i)  superdiagonal of Y in the reversed-ladder basis (even family)
+    phi_upper(i)  superdiagonal of Y in the ladder basis
     """
 
     delta: Fraction
     a: Fraction
     b: Fraction
     c: Fraction
-    family: str = "even"
 
     def theta(self, i: int) -> Fraction:
         return _sign(i) * (2 * self.a - self.delta + 2 * i) / 2
@@ -66,20 +66,9 @@ class SequenceTable:
         return _sign(i) * (2 * self.b - self.delta + 2 * i) / 2
 
     def phi_upper(self, i: int) -> Fraction:
-        if self.family == "odd":
-            d = self.delta
-            if i % 2 == 0:
-                return Fraction(i) * (d + 1 - 2 * i - 2 * (self.a + self.b + self.c)) / 2
-            return Fraction(i - d - 1) * (d + 1 - 2 * i - 2 * (self.a + self.b - self.c)) / 2
         if i % 2 == 0:
             return i * (self.delta - i + 1)
         s = (2 * self.a + 2 * self.b - self.delta + 2 * i - 1) / 2
-        return self.c ** 2 - s ** 2
-
-    def phi_lower(self, i: int) -> Fraction:
-        if i % 2 == 0:
-            return i * (self.delta - i + 1)
-        s = (2 * self.b - 2 * self.a - self.delta + 2 * i - 1) / 2
         return self.c ** 2 - s ** 2
 
     def ladder(self, n: int) -> tuple[Matrix, Matrix]:
@@ -95,9 +84,6 @@ class SequenceTable:
 
     def central_scalars(self) -> tuple[Fraction, Fraction, Fraction]:
         """(kappa, lambda, mu) acting on the ladder module."""
-        if self.family == "odd":
-            a, b, c, n = self.a, self.b, self.c, self.delta + 1
-            return (2 * a * b - c * n, 2 * b * c - a * n, 2 * c * a - b * n)
         a2, b2, c2 = self.a ** 2, self.b ** 2, self.c ** 2
         shift = (self.delta + 1) ** 2 / 4
         return (c2 - a2 - b2 + shift,
@@ -105,34 +91,29 @@ class SequenceTable:
                 b2 - c2 - a2 + shift)
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """Parameters (d, a, b, c) of one family, fixed by the subclass: d odd
-    >= 1 for the even-dimensional family, d even >= 0 for the odd one."""
+class FamilyParams(SequenceTable):
+    """A point (d, a, b, c) of one family, fixed by the subclass (d odd >= 1
+    for the even-dimensional family, d even >= 0 for the odd one): the
+    sequence table at delta = d, with a, b, c coerced to rationals."""
 
     family: ClassVar[str]
-    d: int
-    a: Fraction
-    b: Fraction
-    c: Fraction
 
-    def __post_init__(self):
+    def __init__(self, d: int, a: RatLike, b: RatLike, c: RatLike):
         # the smallest admissible d also has the parity every d must have
         low, need = {"even": (1, "odd d >= 1"), "odd": (0, "even d >= 0")}[self.family]
-        if not isinstance(self.d, int) or self.d < low or self.d % 2 != low:
-            raise ValueError(f"{self.family} family needs {need}, got {self.d}")
-        for f in "abc":
-            object.__setattr__(self, f, rat(getattr(self, f)))
+        if not isinstance(d, int) or isinstance(d, bool) or d < low or d % 2 != low:
+            raise ValueError(f"{self.family} family needs {need}, got {d}")
+        super().__init__(Fraction(d), rat(a), rat(b), rat(c))
 
-    def table(self) -> SequenceTable:
-        return SequenceTable(Fraction(self.d), self.a, self.b, self.c, self.family)
+    @property
+    def d(self) -> int:
+        return self.delta.numerator
 
     def module(self) -> "BIModule":
         """The (d+1)-dimensional module: X v_i = theta_i v_i + v_{i+1}
         (v_{d+1} = 0), Y v_i = theta*_i v_i + phi_i v_{i-1}, and kappa,
-        lambda, mu act by the three central scalars of the sequence table."""
-        t = self.table()
-        return BIModule(*t.ladder(self.d + 1), *t.central_scalars())
+        lambda, mu act by the three central scalars of the table."""
+        return BIModule(*self.ladder(self.d + 1), *self.central_scalars())
 
 
 class EvenParams(FamilyParams):
@@ -143,6 +124,16 @@ class EvenParams(FamilyParams):
 class OddParams(FamilyParams):
     """Parameters of the odd-dimensional family: d even >= 0, rational a, b, c."""
     family = "odd"
+
+    def phi_upper(self, i: int) -> Fraction:
+        d = self.delta
+        if i % 2 == 0:
+            return Fraction(i) * (d + 1 - 2 * i - 2 * (self.a + self.b + self.c)) / 2
+        return Fraction(i - d - 1) * (d + 1 - 2 * i - 2 * (self.a + self.b - self.c)) / 2
+
+    def central_scalars(self) -> tuple[Fraction, Fraction, Fraction]:
+        a, b, c, n = self.a, self.b, self.c, self.delta + 1
+        return (2 * a * b - c * n, 2 * b * c - a * n, 2 * c * a - b * n)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .bimodule import ALL_TWISTS, BIModule, CertificateError, EvenParams, NotAModule, \
-    OddParams, TwistSign, central_scalars, certify_intertwiner, odd_module, twist
+    OddParams, SequenceTable, TwistSign, central_scalars, certify_intertwiner, odd_module, twist
 from .exactlinalg import Matrix, RatLike, RrefAccumulator, Vector, \
     kernel_basis, rat, rational_spectrum, shifted_walk, spin
 from .universal import AnnihilatorFails, PremiseViolated, ladder_map
@@ -204,7 +204,7 @@ def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
         return IrrVerdict("irreducible", None, "oracle", "dimension 1")
     try:
         p, sign = _named_point(invariants(v_mod), n)
-        hint = sign.eps_prime * p.table().theta_star(0)
+        hint = sign.eps_prime * p.theta_star(0)
     except (IdentificationFailed, NotRationalFamily, NotAModule):  # no point named
         hint = None
     fat = {}
@@ -245,13 +245,12 @@ def lowering_matrix(d: int, a: RatLike, b: RatLike, c: RatLike,
     products in the module).  All three agree; they share no code.
     """
     p = EvenParams(d, a, b, c)
-    t = p.table()
     if method == "closed":
-        return _lowering_closed(t, d)
+        return _lowering_closed(p, d)
     if method == "recurrence":
-        return _lowering_recurrence(t, d)
+        return _lowering_recurrence(p, d)
     if method == "operator":
-        return _lowering_operator(p, t, d)
+        return _lowering_operator(p, d)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -260,8 +259,10 @@ def _lowering_closed(t, d: int) -> Matrix:
     def running(factors):
         return list(itertools.accumulate(factors, operator.mul, initial=_F1))
 
+    # the superdiagonal of Y in the reversed-ladder basis: phi_h of (-a, b, c)
+    low_phi = SequenceTable(t.delta, -t.a, t.b, t.c).phi_upper
     gap = running(t.theta_star(0) - t.theta_star(d - h + 1) for h in range(1, d + 1))
-    low = running(t.phi_lower(h) for h in range(1, d + 1))
+    low = running(low_phi(h) for h in range(1, d + 1))
     odd = running(t.phi_upper(2 * h - 1) for h in range(1, (d + 1) // 2 + 1))
     down = [running(t.phi_upper(2 * (q - h + 1)) for h in range(1, q + 1))
             for q in range(d // 2 + 1)]
@@ -271,20 +272,20 @@ def _lowering_closed(t, d: int) -> Matrix:
 
 
 def _lowering_recurrence(t, d: int) -> Matrix:
-    size = d + 1
+    size, low_phi = d + 1, SequenceTable(t.delta, -t.a, t.b, t.c).phi_upper
     l = [[_F0] * size for _ in range(size)]
     for i in range(size):
         l[i][0] = (math.prod((t.theta_star(0) - t.theta_star(d - h + 1)
                               for h in range(1, i + 1)), start=_F1)
-                   * math.prod((t.phi_lower(h) for h in range(1, d - i + 1)), start=_F1))
+                   * math.prod((low_phi(h) for h in range(1, d - i + 1)), start=_F1))
     for j in range(1, size):
         for i in range(j, size):
             l[i][j] = (t.theta(i) - t.theta(j - 1)) * l[i][j - 1] + l[i - 1][j - 1]
     return Matrix(l)
 
 
-def _lowering_operator(p: EvenParams, t, d: int) -> Matrix:
-    e = p.module()
+def _lowering_operator(t: EvenParams, d: int) -> Matrix:
+    e = t.module()
     # Y upper triangular with diagonal theta*_0 ... theta*_d makes rows i >= 1 of
     # (Y - theta*_1) ... (Y - theta*_d) zero (Cayley-Hamilton on the right
     # Y-invariant span of e_i^T ... e_d^T), so only row 0, a walk under Y^T, is left
@@ -309,11 +310,11 @@ def a_flip_basis_matrices(d: int, a: RatLike, b: RatLike, c: RatLike) -> FlipBas
     """X and Y of the even-family module in the reversed-ladder basis
     w_i = prod_{h<i} (X - theta_{d-h}) v_0, the ladder map from (-a, b, c)
     (whose theta_h is theta_{d-h} here): the (-a, b, c) module on the nose,
-    X lower bidiagonal with the diagonal reversed, Y with the lower phis."""
+    X lower bidiagonal with the diagonal reversed, Y with the phis of (-a, b, c)."""
     p = EvenParams(d, a, b, c)
     flipped = EvenParams(d, -p.a, p.b, p.c)
     basis = ladder_map(flipped, p.module(), Matrix.identity(d + 1).rows[0])
-    return FlipBasis(*flipped.table().ladder(d + 1), basis)
+    return FlipBasis(*flipped.ladder(d + 1), basis)
 
 
 # --- intertwiners and isomorphism -----------------------------------------------
@@ -401,7 +402,7 @@ def are_isomorphic(v_mod: BIModule, w_mod: BIModule) -> tuple[bool, Matrix | Non
     """
     if v_mod.dim != w_mod.dim or v_mod.kappa != w_mod.kappa:
         return (False, None)
-    if v_mod.X == w_mod.X and v_mod.Y == w_mod.Y:
+    if v_mod.same_matrices(w_mod):
         return (True, Matrix.identity(v_mod.dim))
     if invariants(v_mod) != invariants(w_mod):
         return (False, None)
@@ -493,7 +494,7 @@ def _family_map(p: EvenParams | OddParams, w_mod: BIModule) -> Matrix | None:
     None means "not isomorphic"; a nonzero map is invertible (Schur)."""
     if w_mod.same_matrices(p.module()):
         return Matrix.identity(p.d + 1)
-    kernel = kernel_basis(w_mod.Y - p.table().theta_star(0) * Matrix.identity(p.d + 1))
+    kernel = kernel_basis(w_mod.Y - p.theta_star(0) * Matrix.identity(p.d + 1))
     try:
         return ladder_map(p, w_mod, kernel[0]) if len(kernel) == 1 else None
     except (AnnihilatorFails, PremiseViolated):

@@ -282,8 +282,10 @@ def cmd_classify(args, report: dict, source) -> int:
 def cmd_identify(args, report: dict, source) -> int:
     try:
         coords = identify(source[0])
-    except IdentificationFailed as exc:
+    except (NotRationalFamily, IdentificationFailed) as exc:
         report["error"] = str(exc)
+        if isinstance(exc, NotRationalFamily):
+            return EXIT_INPUT
         return EXIT_INDETERMINATE if isinstance(exc, IndeterminateIrreducibility) else EXIT_FAIL
     report["class"] = _coords_fragment(coords)
     report["invariants"] = _invariants_fragment(source[0])
@@ -341,19 +343,12 @@ def cmd_scan(args, report: dict) -> int:
     return EXIT_INDETERMINATE if indeterminate else EXIT_OK
 
 
-# report command -> (its module-file arguments, whether it assumes a module and
-# so gates on the defining relations)
-_REPORTS = {"check": (("path",), False), "classify": (("path",), True),
-            "identify": (("path",), True), "iso": (("path1", "path2"), True),
-            "minpoly": (("path",), False), "scan": ((), False)}
-
-
 def _report(args) -> int:
     """Run a report command: read its module files in argument order, gate on
-    the relations, let ``args.func(args, report, *(module, meta) pairs)`` fill
+    the relations, let ``handler(args, report, *(module, meta) pairs)`` fill
     in the command's fields and return the exit code, then add timing and exit."""
     started = time.monotonic()
-    names, gated = _REPORTS[args.cmd]
+    handler, _, names, gated = _COMMANDS[args.cmd]
     paths = [getattr(args, name) for name in names]
     inputs = [parse_module(_read_input(path)) for path in paths]
     report: dict = {"command": args.cmd}
@@ -363,7 +358,7 @@ def _report(args) -> int:
         report["inputs"] = paths
     frags = [_relations_fragment(mod) for mod, _ in inputs] if gated else []
     if all(ok for _, ok in frags):
-        code = args.func(args, report, *inputs)
+        code = handler(args, report, *inputs)
     else:
         report["relations"] = frags[0][0] if len(frags) == 1 else [rows for rows, _ in frags]
         report["error"] = "defining relations fail; not a module"
@@ -377,6 +372,23 @@ def _report(args) -> int:
 
 # --- argument parsing -----------------------------------------------------------------
 
+# command -> (handler, help, its module-file arguments or None if it writes no
+# report, whether it assumes a module and so gates on the defining relations)
+_COMMANDS = {
+    "build": (cmd_build, "construct a family module and write its module file", None, False),
+    "fixture": (cmd_fixture, "emit one of the two pinned reference modules", None, False),
+    "check": (cmd_check, "verify the defining relations of a module file", ("path",), False),
+    "classify": (cmd_classify, "irreducibility verdict, invariants and class coordinates",
+                 ("path",), True),
+    "identify": (cmd_identify, "recover family coordinates of an irreducible module",
+                 ("path",), True),
+    "iso": (cmd_iso, "decide isomorphism of two module files", ("path1", "path2"), True),
+    "minpoly": (cmd_minpoly, "minimal polynomial of a generator, factored when split",
+                ("path",), False),
+    "scan": (cmd_scan, "compare criterion and oracle over a parameter cube", (), False),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this file instead of stdout")
@@ -389,64 +401,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, verify and classify exact rational modules "
                     "of the universal Bannai-Ito algebra.")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("build", parents=[common],
-                       help="construct a family module and write its module file")
-    p.add_argument("--family", choices=("even", "odd"), required=True)
-    p.add_argument("--d", type=int, required=True)
+    cmds = {}
+    for name, (_, help_text, paths, _) in _COMMANDS.items():
+        cmds[name] = sub.add_parser(name, parents=[common], help=help_text)
+        for path in paths or ():  # a lone module file may come on stdin
+            cmds[name].add_argument(path, **({"nargs": "?", "default": "-"}
+                                             if paths == ("path",) else {}))
+    for name in ("build", "scan"):
+        cmds[name].add_argument("--family", choices=("even", "odd"), required=True)
+        cmds[name].add_argument("--d", type=int, required=True)
+    p = cmds["build"]
     p.add_argument("--a", required=True, help="rational, e.g. 1 or -3/2 (use --a=-3/2)")
     p.add_argument("--b", required=True)
     p.add_argument("--c", required=True)
     p.add_argument("--twist", default="1,1", help="sign pair like 1,-1 (default 1,1)")
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("fixture", parents=[common],
-                       help="emit one of the two pinned reference modules")
-    p.add_argument("name", choices=("exampleE", "exampleO"))
-    p.set_defaults(func=cmd_fixture)
-
-    p = sub.add_parser("check", parents=[common],
-                       help="verify the defining relations of a module file")
-    p.add_argument("path", nargs="?", default="-")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="irreducibility verdict, invariants and class coordinates")
-    p.add_argument("path", nargs="?", default="-")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("identify", parents=[common],
-                       help="recover family coordinates of an irreducible module")
-    p.add_argument("path", nargs="?", default="-")
-    p.set_defaults(func=cmd_identify)
-
-    p = sub.add_parser("iso", parents=[common],
-                       help="decide isomorphism of two module files")
-    p.add_argument("path1")
-    p.add_argument("path2")
-    p.set_defaults(func=cmd_iso)
-
-    p = sub.add_parser("minpoly", parents=[common],
-                       help="minimal polynomial of a generator, factored when split")
-    p.add_argument("path", nargs="?", default="-")
-    p.add_argument("--gen", choices=("X", "Y", "Z", "all"), default="all")
-    p.set_defaults(func=cmd_minpoly)
-
-    p = sub.add_parser("scan", parents=[common],
-                       help="compare criterion and oracle over a parameter cube")
-    p.add_argument("--family", choices=("even", "odd"), required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--values", required=True,
-                   help="comma-separated rationals for each of a, b, c (use --values=-1,0,1)")
-    p.set_defaults(func=cmd_scan)
-
+    cmds["fixture"].add_argument("name", choices=("exampleE", "exampleO"))
+    cmds["minpoly"].add_argument("--gen", choices=("X", "Y", "Z", "all"), default="all")
+    cmds["scan"].add_argument("--values", required=True,
+                              help="comma-separated rationals for each of a, b, c "
+                                   "(use --values=-1,0,1)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, _, paths, _ = _COMMANDS[args.cmd]
     try:
-        return _report(args) if args.cmd in _REPORTS else args.func(args)
+        return handler(args) if paths is None else _report(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

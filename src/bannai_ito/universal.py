@@ -150,15 +150,15 @@ def ladder_map(params: FamilyParams, v_mod: BIModule, v) -> Matrix:
     theta_0 ... theta_d, whose last vector must vanish (AnnihilatorFails),
     certified as an intertwiner (CertificateError).  The premises are checked
     only after a failure, so that PremiseViolated names the broken one."""
-    t, d, v = params.table(), params.d, vec(v)
-    walk = shifted_walk(v_mod.X, v, [t.theta(i) for i in range(d + 1)])
+    d, v = params.d, vec(v)
+    walk = shifted_walk(v_mod.X, v, [params.theta(i) for i in range(d + 1)])
     try:
         if any(walk[d + 1]):
             raise AnnihilatorFails(f"prod (X - theta_i) v = {walk[d + 1]}, expected zero")
         return certify_intertwiner(Matrix.from_columns(walk[:d + 1]), params.module(),
                                    v_mod, "ladder map")
     except (AnnihilatorFails, CertificateError):
-        _check_premises(t, v_mod, v)
+        _check_premises(params, v_mod, v)
         raise
 
 

@@ -47,24 +47,29 @@ Z_ODD = Matrix([
 
 
 def test_sequence_values_even():
-    t = EvenParams(3, 1, 0, 1).table()
+    t = EvenParams(3, 1, 0, 1)
     assert [t.theta(i) for i in range(4)] == [F(-1, 2), F(-1, 2), F(3, 2), F(-5, 2)]
     assert [t.theta_star(i) for i in range(4)] == [F(-3, 2), F(1, 2), F(1, 2), F(-3, 2)]
     assert [t.phi_upper(i) for i in range(1, 4)] == [F(1), F(4), F(-3)]
-    assert [t.phi_lower(i) for i in range(1, 4)] == [F(-3), F(4), F(1)]
+    # the reversed-ladder superdiagonal is phi of the a-flipped point
+    assert [EvenParams(3, -1, 0, 1).phi_upper(i) for i in range(1, 4)] == [F(-3), F(4), F(1)]
     assert t.phi_upper(4) == 0  # closes the ladder at i = d + 1
     assert t.central_scalars() == (F(4), F(4), F(2))
 
 
 def test_sequence_values_odd():
-    t = OddParams(4, "3/2", "1/2", "-1/2").table()
-    assert t == SequenceTable(F(4), F(3, 2), F(1, 2), F(-1, 2), family="odd")
+    t = OddParams(4, "3/2", "1/2", "-1/2")
+    assert (t.delta, t.a, t.b, t.c) == (F(4), F(3, 2), F(1, 2), F(-1, 2))
     assert [t.theta(i) for i in range(5)] == [F(-1, 2), F(-1, 2), F(3, 2), F(-5, 2), F(7, 2)]
     assert [t.theta_star(i) for i in range(5)] == [F(-3, 2), F(1, 2), F(1, 2), F(-3, 2), F(5, 2)]
     assert [t.phi_upper(i) for i in range(1, 5)] == [F(4), F(-2), F(6), F(-12)]
     assert t.central_scalars() == (F(4), F(-8), F(-4))
+    # the four-argument table at the same point keeps the even formulas
+    even = SequenceTable(F(4), F(3, 2), F(1, 2), F(-1, 2))
+    assert [even.phi_upper(i) for i in range(1, 5)] == [F(0), F(6), F(-6), F(4)]
+    assert even.central_scalars() != t.central_scalars()
     # small second sample, frozen by hand
-    t0 = OddParams(2, 0, 0, 0).table()
+    t0 = OddParams(2, 0, 0, 0)
     assert [t0.phi_upper(i) for i in range(1, 3)] == [F(-1), F(-1)]
 
 
@@ -78,6 +83,19 @@ def test_params_validation():
     with pytest.raises(ValueError):
         TwistSign(2, 1)
     assert OddParams(0, 1, 2, 3).module().dim == 1
+    # d must be a plain int: not a bool, a Fraction or a float
+    for d in (True, F(3), 3.0):
+        with pytest.raises(ValueError, match=f"^even family needs odd d >= 1, got {d}$"):
+            EvenParams(d, 0, 0, 0)
+    with pytest.raises(ValueError, match="^odd family needs even d >= 0, got False$"):
+        OddParams(False, 0, 0, 0)
+
+
+def test_params_value_semantics():
+    # a family point is a value: coerced parameters, equal hashes, d an int
+    p = EvenParams(3, 1, 0, 1)
+    assert p == EvenParams(3, "1", 0, F(1)) and hash(p) == hash(EvenParams(3, "1", 0, F(1)))
+    assert p.d == 3 and type(p.d) is int and p.delta == F(3)
 
 
 def test_even_module_matches_pinned_example():
@@ -246,7 +264,7 @@ def test_superdiagonal_recurrence(d, a, b, c):
     # phi_{i+1} + 2 phi_i + phi_{i-1}
     #   = 2 kappa - (3 theta_i + theta_{i-1}) theta*_i
     #     - (theta_i + 3 theta_{i-1}) theta*_{i-1},  with phi_0 = phi_{d+1} = 0
-    t = EvenParams(d, a, b, c).table()
+    t = EvenParams(d, a, b, c)
     kappa = t.central_scalars()[0]
     assert t.phi_upper(0) == 0 and t.phi_upper(d + 1) == 0
     for i in range(1, d + 1):
@@ -260,10 +278,8 @@ def test_superdiagonal_recurrence(d, a, b, c):
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from([1, 3, 5]), rationals, rationals, rationals)
 def test_reversed_ladder_sequence_symmetry(d, a, b, c):
-    # theta_{d-i}(a) = theta_i(-a) and phi_upper(-a) = phi_lower(a)
+    # theta_{d-i}(a) = theta_i(-a)
     t = SequenceTable(F(d), a, b, c)
     tn = SequenceTable(F(d), -a, b, c)
     for i in range(d + 1):
         assert t.theta(d - i) == tn.theta(i)
-    for i in range(1, d + 1):
-        assert tn.phi_upper(i) == t.phi_lower(i)

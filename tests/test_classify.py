@@ -897,12 +897,12 @@ def test_conjugated_family_points_property(family_d, a, b, c, sign, seed):
     mod = BIModule(p * v.X * p_inv, p * v.Y * p_inv, v.kappa, v.lam, v.mu)
     if even:
         named = EvenParams(d, *orbit_canonical(a, b, c))
-        theta = sign.eps_prime * named.table().theta_star(0)
+        theta = sign.eps_prime * named.theta_star(0)
         expected = ClassCoordinates("even", d, sign, (named.a, named.b, named.c))
     else:
         e, ep = sign.eps, sign.eps_prime
         named = OddParams(d, e * a, ep * b, e * ep * c)
-        theta = named.table().theta_star(0)
+        theta = named.theta_star(0)
         expected = ClassCoordinates("odd", d, None, (named.a, named.b, named.c))
     line = len(kernel_basis(mod.Y - theta * Matrix.identity(n))) == 1
     dense = []

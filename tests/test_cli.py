@@ -294,12 +294,15 @@ def test_classify_indeterminate_exit_code(capsys, tmp_path, monkeypatch):
     assert doc["oracle"]["status"] == "indeterminate" and doc["exit"] == 3
 
 
+# E_1(sqrt 2, 0, 1) after a basis change: irreducible, but its central-scalar
+# sums are not rational squares, so no class is named
+IRRATIONAL_E1 = {"dim": 2, "X": [["-1/2", "2"], ["1", "-1/2"]],
+                 "Y": [["-1/2", "-1"], ["0", "-1/2"]], "kappa": "0"}
+
+
 def test_classify_reports_identify_error(capsys, tmp_path):
-    # E_1(sqrt 2, 0, 1) after a basis change: irreducible, but its
-    # central-scalar sums are not rational squares, so no class is named
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"dim": 2, "X": [["-1/2", "2"], ["1", "-1/2"]],
-                                "Y": [["-1/2", "-1"], ["0", "-1/2"]], "kappa": "0"}))
+    path.write_text(json.dumps(IRRATIONAL_E1))
     code, out, _ = run_cli(capsys, "classify", str(path), "--no-timing")
     assert code == 2
     doc = json.loads(out)
@@ -307,6 +310,17 @@ def test_classify_reports_identify_error(capsys, tmp_path):
     assert doc["class"] is None
     assert doc["identify_error"] == "central-scalar sums are not rational squares"
     assert doc["exit"] == 2
+
+
+def test_identify_reports_irrational_parameters(capsys, tmp_path):
+    # the same failure as classify's identify_error, in a report with exit 2
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(IRRATIONAL_E1))
+    code, out, err = run_cli(capsys, "identify", str(path), "--no-timing")
+    assert code == 2 and err == ""
+    assert json.loads(out) == {"command": "identify", "input": str(path),
+                               "error": "central-scalar sums are not rational squares",
+                               "exit": 2}
 
 
 def test_identify_example_odd(capsys, tmp_path):

@@ -1,8 +1,9 @@
 """Repository hygiene: the runtime imports only the standard library and no
 layer imports another's private names, no library guarantee rests on an
 `assert` (stripped under `python -O`), no file that .gitignore excludes is
-tracked, every library name the benchmark traces still resolves, and
-`__all__` lists exactly the public names the package binds."""
+tracked, every library name the benchmark traces still resolves, the
+benchmark's library workloads run one small round, and `__all__` lists
+exactly the public names the package binds."""
 
 import ast
 import importlib
@@ -71,6 +72,21 @@ def test_benchmark_trace_targets_resolve():
         if not found:
             missing.append(f"{home}.{attr}")
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["grid", "large_dim", "reducible"])
+def test_benchmark_library_workloads_run(workload, monkeypatch):
+    # one smoke round in this process, so a change to a constructor the
+    # benchmark calls fails here; the cli workload writes files and is left out
+    if not (ROOT / "perfbench" / "workloads.py").exists():
+        pytest.skip("no perfbench/ in this checkout")
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    lib = {layer: importlib.import_module(f"bannai_ito.{layer}")
+           for layer in ("exactlinalg", "bimodule", "classify", "universal")}
+    make_inputs, task, _ = workloads.WORKLOADS[workload]
+    (items,) = make_inputs(lib, 501, True)
+    assert items and all(task(lib, item)["conclusive"] for item in items)
 
 
 def test_package_all_matches_its_public_names():
