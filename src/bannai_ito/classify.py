@@ -17,7 +17,8 @@ three unrelated ways (operator products, a two-term recurrence, a closed-form
 product); it is nonsingular exactly when the criterion holds.
 
 Isomorphism is decided from the intertwiner space, one graph spin of
-Y-eigenvectors (then unit vectors) with their images in V + W + ... + W.
+Y-eigenvectors (the named theta*_0 line first, as in the oracle, so a
+conjugate needs no spectrum; then unit vectors) with their images in V + W^k.
 ``identify`` reads family coordinates (twist signs and the nonnegative
 parameter orbit representative for even dimension, exact parameters for
 odd) off the invariants and certifies them with the ladder map of the
@@ -159,11 +160,14 @@ def _shift(q: Fraction) -> str:
     return f"({q})" if q < 0 else str(q)
 
 
-def _eigenspaces(g: Matrix, name: str, first: Fraction | None = None
+def _eigenspaces(v_mod: BIModule, name: str
                  ) -> Iterator[tuple[Fraction, Matrix, tuple[Vector, ...]]]:
-    """(theta, g - theta, kernel) per distinct eigenvalue of g, increasing and
-    lazily, one elimination each; only ``first`` if its kernel is a line (no
-    spectrum then).  NonSplitSpectrum if the spectrum is not rational."""
+    """(theta, g - theta, kernel) per distinct eigenvalue of the generator
+    ``name``, one elimination each: for Y first eps' theta*_0 of the named
+    family point if its kernel is a line (it generates an irreducible family
+    module), then the rest of the rational spectrum, increasing, computed
+    only when asked for.  NonSplitSpectrum if it is not rational."""
+    g, lines = v_mod.generator(name), []
     eye, tried = Matrix.identity(g.nrows), {}
 
     def item(th):
@@ -172,14 +176,17 @@ def _eigenspaces(g: Matrix, name: str, first: Fraction | None = None
             tried[th] = th, shifted, kernel_basis(shifted)
         return tried[th]
 
-    if first is not None and len(item(first)[2]) == 1:
-        yield item(first)
-        return
+    try:
+        if name == "Y":
+            p, sign = _named_point(invariants(v_mod), v_mod.dim)
+            lines = [th for th in (sign.eps_prime * p.theta_star(0),) if len(item(th)[2]) == 1]
+    except (IdentificationFailed, NotRationalFamily, NotAModule):  # no point named
+        pass
+    yield from map(item, lines)
     roots = rational_spectrum(g)
     if not roots.split:
         raise NonSplitSpectrum(f"spectrum of {name} is not rational")
-    for th in sorted(set(roots.roots)):
-        yield item(th)
+    yield from map(item, sorted(set(roots.roots).difference(lines)))
 
 
 def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
@@ -187,13 +194,12 @@ def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
     X, then a probe of their combinations.
 
     For each generator g, the kernel of g - theta for each rational
-    eigenvalue theta, in increasing order, comes from one elimination; the
-    first kernel line is a Norton element for the two-sided spin test.  Y
-    first tries eps' theta*_0 of the family point the invariants name, and
-    needs its spectrum only if that kernel is not a line.  If every
-    eigenspace of g is >= 2-dimensional, each kernel basis vector is spun
-    under X and Y (the MeatAxe step); the first proper spin is a verified
-    witness, and in an irreducible module every spin is full.  Last,
+    eigenvalue theta, in the order of ``_eigenspaces`` (for Y the named
+    theta*_0 line first), comes from one elimination; the first kernel line
+    is a Norton element for the two-sided spin test.  If every eigenspace of
+    g is >= 2-dimensional, each kernel basis vector is spun under X and Y
+    (the MeatAxe step); the first proper spin is a verified witness, and in
+    an irreducible module every spin is full.  Last,
     (Y - theta) + t (X - theta') for t in (1, -1, 2, -2) is probed for
     nullity 1.  Indeterminate is left only when no shift of X or Y and no
     combination has nullity 1, and every eigenvector spin is full.  Raises
@@ -202,15 +208,10 @@ def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
     n = v_mod.dim
     if n == 1:
         return IrrVerdict("irreducible", None, "oracle", "dimension 1")
-    try:
-        p, sign = _named_point(invariants(v_mod), n)
-        hint = sign.eps_prime * p.theta_star(0)
-    except (IdentificationFailed, NotRationalFamily, NotAModule):  # no point named
-        hint = None
     fat = {}
-    for name, g, fmt in (("Y", v_mod.Y, "Y - {}"), ("X", v_mod.X, "(X - {})")):
+    for name, fmt in (("Y", "Y - {}"), ("X", "(X - {})")):
         fat[name] = []
-        for th, shifted, kernel in _eigenspaces(g, name, hint if name == "Y" else None):
+        for th, shifted, kernel in _eigenspaces(v_mod, name):
             label = fmt.format(_shift(th))
             if len(kernel) == 1:
                 return _norton(v_mod, shifted, kernel[0], label)
@@ -329,22 +330,23 @@ def _hom(v_mod: BIModule, w_mod: BIModule) -> tuple[tuple[Matrix, ...], bool]:
     """Basis of Hom(V, W) by one graph spin, and whether every seeding
     Y-eigenspace has the same dimension in V and in W.
 
-    Seeds are the kernel vectors of Y_V - theta, theta increasing, whose
-    images must lie in ker(Y_W - theta); then unit vectors, whose images are
-    free.  A seed already in the V-span is skipped, and seeding stops once
-    the seeds generate V.  Seed i with d_i allowed images is spun as
-    (s_i; its images, each in its own W slot) in V + W^u, u = sum d_i: the
-    rref rows pivoting in V read [I | A_1 ... A_u], the others
-    (0 | R_1 ... R_u) are the relations sum c_j R_j = 0, and each solution c
-    gives T = sum c_j A_j.  The basis is the one kernel_basis gives for the
-    linear equations on T's row-major entries.
+    Seeds are the kernel vectors of Y_V - theta, in the order of
+    ``_eigenspaces``, whose images must lie in ker(Y_W - theta); then unit
+    vectors, whose images are free.  A seed already in the V-span is
+    skipped, and seeding stops once the seeds generate V.  Seed i with d_i
+    allowed images is spun as (s_i; its images, each in its own W slot) in
+    V + W^u, u = sum d_i: the rref rows pivoting in V read
+    [I | A_1 ... A_u], the others (0 | R_1 ... R_u) are the relations
+    sum c_j R_j = 0, and each solution c gives T = sum c_j A_j.  The basis
+    is the one kernel_basis gives for the linear equations on T's row-major
+    entries.
     """
     n, m = v_mod.dim, w_mod.dim
     eye_w, agree = Matrix.identity(m), []
 
     def candidates():
         try:
-            for th, _, kv in _eigenspaces(v_mod.Y, "Y"):
+            for th, _, kv in _eigenspaces(v_mod, "Y"):
                 kw = kernel_basis(w_mod.Y - th * eye_w)
                 agree.append(len(kv) == len(kw))
                 yield from ((s, kw) for s in kv)

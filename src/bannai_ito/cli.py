@@ -38,6 +38,15 @@ class CliError(Exception):
         self.code = code
 
 
+# library exception -> exit code, the most specific class first
+_EXIT_CODES = {IndeterminateIrreducibility: EXIT_INDETERMINATE, IdentificationFailed: EXIT_FAIL,
+               NotAModule: EXIT_FAIL, NotRationalFamily: EXIT_INPUT, NonSplitSpectrum: EXIT_INPUT}
+
+
+def _exit_code(exc: Exception) -> int:
+    return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+
+
 # --- exact serialization --------------------------------------------------------
 
 def _str_to_rat(s) -> Fraction:
@@ -220,10 +229,7 @@ def _factored_string(roots: Roots) -> str | None:
     pieces = []
     for r in sorted(set(roots.roots), reverse=True):
         mult = roots.roots.count(r)
-        if r == 0:
-            base = "x"
-        else:
-            base = f"(x - {r})" if r > 0 else f"(x + {-r})"
+        base = "x" if r == 0 else f"(x - {r})" if r > 0 else f"(x + {-r})"
         pieces.append(base + (f"^{mult}" if mult > 1 else ""))
     return "".join(pieces)
 
@@ -231,9 +237,7 @@ def _factored_string(roots: Roots) -> str | None:
 # --- commands -----------------------------------------------------------------------
 
 def cmd_build(args) -> int:
-    a = _parse_rat_arg(args.a, "--a")
-    b = _parse_rat_arg(args.b, "--b")
-    c = _parse_rat_arg(args.c, "--c")
+    a, b, c = (_parse_rat_arg(getattr(args, k), f"--{k}") for k in "abc")
     sign = _parse_twist_arg(args.twist)
     mod = twist(_build_family_module(args.family, args.d, a, b, c), sign)
     _note(args, f"kappa={mod.kappa} lambda={mod.lam} mu={mod.mu}")
@@ -275,7 +279,7 @@ def cmd_classify(args, report: dict, source) -> int:
             report["class"] = _coords_fragment(identify(mod, assume_irreducible=True))
         except (NotRationalFamily, IdentificationFailed) as exc:
             report["class"], report["identify_error"] = None, str(exc)
-            code = EXIT_INPUT if isinstance(exc, NotRationalFamily) else EXIT_FAIL
+            code = _exit_code(exc)
     return code
 
 
@@ -284,9 +288,7 @@ def cmd_identify(args, report: dict, source) -> int:
         coords = identify(source[0])
     except (NotRationalFamily, IdentificationFailed) as exc:
         report["error"] = str(exc)
-        if isinstance(exc, NotRationalFamily):
-            return EXIT_INPUT
-        return EXIT_INDETERMINATE if isinstance(exc, IndeterminateIrreducibility) else EXIT_FAIL
+        return _exit_code(exc)
     report["class"] = _coords_fragment(coords)
     report["invariants"] = _invariants_fragment(source[0])
     return EXIT_OK
@@ -296,8 +298,7 @@ def cmd_iso(args, report: dict, first, second) -> int:
     try:
         ok, t = are_isomorphic(first[0], second[0])
     except IndeterminateIsomorphism as exc:
-        report["isomorphic"] = "indeterminate"
-        report["detail"] = str(exc)
+        report.update(isomorphic="indeterminate", detail=str(exc))
         return EXIT_INDETERMINATE
     report["isomorphic"] = ok
     report["intertwiner"] = _matrix_to_lists(t) if ok else None
@@ -431,12 +432,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (NonSplitSpectrum, NotRationalFamily) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NotAModule, IdentificationFailed) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return _exit_code(exc)
     except BrokenPipeError:
         return EXIT_INPUT
 

@@ -209,10 +209,10 @@ def test_oracle_spins_fat_eigenspaces_of_direct_sums(monkeypatch, d):
     # X is looked at
     real_eigenspaces = classify._eigenspaces
 
-    def y_only(g, name, *first):
+    def y_only(v_mod, name):
         if name != "Y":
             raise AssertionError("X must not be looked at")
-        return real_eigenspaces(g, name, *first)
+        return real_eigenspaces(v_mod, name)
 
     monkeypatch.setattr(classify, "_eigenspaces", y_only)
     a, b, c = F(1, 3), F(2, 7), F(5, 11)
@@ -532,6 +532,37 @@ def test_intertwiner_spin_outcomes(monkeypatch):
         with pytest.raises(CertificateError,
                            match=r"intertwiner-space element fails to intertwine \(library bug\)"):
             call(v, swap)
+
+
+def test_intertwiner_space_of_a_wall_point_spins_once(monkeypatch):
+    # E_3(2/3, 3/4, 5/12) is reducible (a + b - c = 1) with b > 0: its named
+    # theta*_0 line is the ladder seed v_0, which generates it, so in either
+    # argument order one graph spin finds Hom and the dense conjugate's Y
+    # needs no spectrum
+    e = even_module(3, F(2, 3), F(3, 4), F(5, 12))
+    assert not criterion_even(3, F(2, 3), F(3, 4), F(5, 12))
+    p = _unimodular(4, random.Random(1))
+    p_inv = p.inverse()
+    conj = BIModule(p * e.X * p_inv, p * e.Y * p_inv, e.kappa, e.lam, e.mu)
+    spins, dense = [], []
+    real_spin, real_spectrum = classify.spin, classify.rational_spectrum
+
+    def counting_spin(vectors, operators):
+        spins.append(len(vectors))
+        return real_spin(vectors, operators)
+
+    def counting_spectrum(m):
+        dense.append(not (m.is_upper_triangular() or m.is_lower_triangular()))
+        return real_spectrum(m)
+
+    monkeypatch.setattr(classify, "spin", counting_spin)
+    monkeypatch.setattr(classify, "rational_spectrum", counting_spectrum)
+    for v, w in ((e, conj), (conj, e)):
+        spins.clear()
+        dense.clear()
+        space = intertwiner_space(v, w)
+        assert space and all(t * v.X == w.X * t and t * v.Y == w.Y * t for t in space)
+        assert len(spins) == 1 and not any(dense)
 
 
 def _dense_hom_system(v_mod, w_mod) -> Matrix:
@@ -884,7 +915,8 @@ _GRID = (F(0), F(1, 2), F(-1, 2), F(1), F(-1), F(-3, 2), F(2, 7))
 @settings(max_examples=40, deadline=None)
 def test_conjugated_family_points_property(family_d, a, b, c, sign, seed):
     # a seeded unimodular conjugate of a twisted family point: the oracle
-    # agrees with the criterion, identify recovers the coordinates, and a
+    # agrees with the criterion, identify recovers the coordinates and, at
+    # irreducible points, are_isomorphic certifies a second conjugate; a
     # spectrum of a non-triangular matrix is computed only when the kernel
     # of Y - eps' theta*_0 at the named point is not a line
     family, d = family_d
@@ -892,9 +924,13 @@ def test_conjugated_family_points_property(family_d, a, b, c, sign, seed):
     base = (even_module if even else odd_module)(d, a, b, c)
     v = twist(base, sign)
     n = v.dim
-    p = _unimodular(n, random.Random(seed))
-    p_inv = p.inverse()
-    mod = BIModule(p * v.X * p_inv, p * v.Y * p_inv, v.kappa, v.lam, v.mu)
+
+    def conjugate(rng):
+        p = _unimodular(n, rng)
+        p_inv = p.inverse()
+        return BIModule(p * v.X * p_inv, p * v.Y * p_inv, v.kappa, v.lam, v.mu)
+
+    mod = conjugate(random.Random(seed))
     if even:
         named = EvenParams(d, *orbit_canonical(a, b, c))
         theta = sign.eps_prime * named.theta_star(0)
@@ -921,4 +957,9 @@ def test_conjugated_family_points_property(family_d, a, b, c, sign, seed):
             assert verify_invariant_subspace(mod, verdict.witness)
         else:
             assert identify(mod, assume_irreducible=True) == expected
+            other = conjugate(random.Random(seed + 1))
+            ok, t = are_isomorphic(mod, other)
+            assert ok and t.rank() == n
+            assert (t * mod.X, t * mod.Y) == (other.X * t, other.Y * t)
+            assert not any(dense)
     assert not any(dense) or not line

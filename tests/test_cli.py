@@ -3,6 +3,7 @@ byte-stable golden reports."""
 
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -432,6 +433,39 @@ def test_iso_indeterminate_exit_code(capsys, tmp_path, monkeypatch):
     assert code == 3
     doc = json.loads(out)
     assert doc["isomorphic"] == "indeterminate" and doc["exit"] == 3
+
+
+@pytest.mark.parametrize("build, d", [(even_module, 31), (odd_module, 32)])
+def test_iso_of_large_conjugates_needs_no_spectrum(capsys, tmp_path, monkeypatch, build, d):
+    # two seeded unimodular conjugates of a twisted family point: the named
+    # theta*_0 line generates the module, so the graph spin needs no spectrum
+    # of the dense Y (minutes at this size)
+    def triangular_only(m):
+        if not (m.is_upper_triangular() or m.is_lower_triangular()):
+            raise AssertionError("spectrum of a dense matrix")
+        return real_spectrum(m)
+
+    real_spectrum = classify.rational_spectrum
+    monkeypatch.setattr(classify, "rational_spectrum", triangular_only)
+    v = twist(build(d, F(1, 3), F(2, 7), F(5, 11)), TwistSign(-1, 1))
+    n, rng, mods = v.dim, random.Random(d), []
+
+    def unit_lower():
+        return Matrix([[1 if i == j else rng.randint(-1, 1) if j < i else 0 for j in range(n)]
+                       for i in range(n)])
+
+    for name in ("p.json", "q.json"):
+        p = unit_lower() * unit_lower().T
+        p_inv = p.inverse()
+        mods.append(BIModule(p * v.X * p_inv, p * v.Y * p_inv, v.kappa, v.lam, v.mu))
+        (tmp_path / name).write_text(serialize_module(mods[-1]))
+    code, out, _ = run_cli(capsys, "iso", str(tmp_path / "p.json"), str(tmp_path / "q.json"),
+                           "--no-timing")
+    doc = json.loads(out)
+    assert code == 0 and doc["isomorphic"] is True
+    t = Matrix([[F(e) for e in row] for row in doc["intertwiner"]])
+    assert t * mods[0].X == mods[1].X * t and t * mods[0].Y == mods[1].Y * t
+    assert t.rank() == n
 
 
 # --- minpoly and scan -----------------------------------------------------------------
