@@ -7,8 +7,9 @@ The package is organised in four layers:
     Dense rational matrices and polynomials: rref, kernels, spinning,
     characteristic and minimal polynomials, rational root finding.
 ``bimodule``
-    The two explicit module families (even and odd dimension), the sign
-    twists, relation checking, and the pinned worked examples.
+    The two explicit module families (even and odd dimension), modules
+    built from modules (sign twists, conjugates, direct sums), relation
+    checking, and the pinned worked examples.
 ``classify``
     Irreducibility two independent ways (closed-form criterion and a
     computational oracle), isomorphism testing with explicit intertwiners,
@@ -31,8 +32,10 @@ from .bimodule import (
     central_scalars,
     certify_intertwiner,
     check_relations,
+    conjugate,
     derive_Z,
     diagonalizability,
+    direct_sum,
     even_module,
     example_even,
     example_odd,
@@ -120,11 +123,13 @@ __all__ = [
     "certify_intertwiner",
     "char_poly",
     "check_relations",
+    "conjugate",
     "criterion_even",
     "criterion_odd",
     "criterion_verdict",
     "derive_Z",
     "diagonalizability",
+    "direct_sum",
     "even_module",
     "example_even",
     "example_odd",

@@ -8,6 +8,7 @@ modules are constructed in closed form: an even-dimensional one (dimension
 d + 1 with d odd) and an odd-dimensional one (d even).  Both have X lower
 bidiagonal with free subdiagonal 1 and Y upper bidiagonal; a family point
 (``EvenParams``, ``OddParams``) is its own ``SequenceTable`` at delta = d.
+Modules built from modules: ``twist``, ``conjugate`` and ``direct_sum``.
 """
 
 from __future__ import annotations
@@ -231,6 +232,23 @@ def twist(v: BIModule, sign: TwistSign) -> BIModule:
         e * v.X, ep * v.Y, e * ep * v.kappa,
         None if v.lam is None else e * v.lam,
         None if v.mu is None else ep * v.mu)
+
+
+def conjugate(v: BIModule, p: Matrix) -> BIModule:
+    """P V P^-1: X -> P X P^-1 and Y -> P Y P^-1 with the stored scalars, so
+    P is an isomorphism from V to the result; ValueError if P is singular."""
+    p_inv = p.inverse()
+    return BIModule(p * v.X * p_inv, p * v.Y * p_inv, v.kappa, v.lam, v.mu)
+
+
+def direct_sum(*mods: BIModule) -> BIModule:
+    """V_1 + ... + V_k with block-diagonal X and Y, V_1 at the top left;
+    ValueError unless there are summands and all store one (kappa, lambda, mu)."""
+    scalars = {(m.kappa, m.lam, m.mu) for m in mods}
+    if len(scalars) != 1:
+        raise ValueError("a direct sum needs summands that store one (kappa, lambda, mu)")
+    return BIModule(Matrix.block_diag(*(m.X for m in mods)),
+                    Matrix.block_diag(*(m.Y for m in mods)), *scalars.pop())
 
 
 @dataclass(frozen=True)

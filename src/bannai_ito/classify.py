@@ -320,12 +320,6 @@ def a_flip_basis_matrices(d: int, a: RatLike, b: RatLike, c: RatLike) -> FlipBas
 
 # --- intertwiners and isomorphism -----------------------------------------------
 
-def _direct_sum(*blocks: Matrix) -> Matrix:
-    widths = [b.ncols for b in blocks]
-    return Matrix([(_F0,) * sum(widths[:i]) + r + (_F0,) * sum(widths[i + 1:])
-                   for i, b in enumerate(blocks) for r in b.rows])
-
-
 def _hom(v_mod: BIModule, w_mod: BIModule) -> tuple[tuple[Matrix, ...], bool]:
     """Basis of Hom(V, W) by one graph spin, and whether every seeding
     Y-eigenspace has the same dimension in V and in W.
@@ -364,8 +358,8 @@ def _hom(v_mod: BIModule, w_mod: BIModule) -> tuple[tuple[Matrix, ...], bool]:
         lifted = [s_i + sum((w if k == i else pad for k, w in slots), ())
                   for i, (s_i, _) in enumerate(seeds)]
         u = len(slots)
-        graph = spin(lifted, [_direct_sum(v_mod.X, *[w_mod.X] * u),
-                              _direct_sum(v_mod.Y, *[w_mod.Y] * u)])
+        graph = spin(lifted, [Matrix.block_diag(v_mod.X, *[w_mod.X] * u),
+                              Matrix.block_diag(v_mod.Y, *[w_mod.Y] * u)])
         head = [(next(j for j, x in enumerate(r) if x), r[:n]) for r in graph if any(r[:n])]
         if len(head) == n:
             break

@@ -15,15 +15,16 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 import time
 from fractions import Fraction
 
-from .bimodule import BIModule, NotAModule, TwistSign, check_relations, \
-    even_module, example_even, example_odd, odd_module, twist
+from .bimodule import BIModule, EvenParams, FamilyParams, NotAModule, OddParams, \
+    TwistSign, check_relations, example_even, example_odd, twist
 from .classify import IdentificationFailed, IndeterminateIrreducibility, \
     IndeterminateIsomorphism, NonSplitSpectrum, NotRationalFamily, are_isomorphic, \
-    criterion_even, criterion_odd, identify, invariants, oracle_irreducible
+    criterion_verdict, identify, invariants, oracle_irreducible
 from .exactlinalg import Matrix, Roots, is_squarefree, min_poly, rational_roots
 
 EXIT_OK = 0
@@ -91,7 +92,7 @@ def serialize_module(mod: BIModule, meta: dict | None = None) -> str:
 def parse_module(text: str) -> tuple[BIModule, dict]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
         raise CliError(EXIT_INPUT, f"module file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliError(EXIT_INPUT, "module file must be a JSON object")
@@ -122,12 +123,12 @@ def parse_module(text: str) -> tuple[BIModule, dict]:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
 
 
@@ -150,10 +151,13 @@ def _note(args, message: str) -> None:
 # --- parameter plumbing -----------------------------------------------------------
 
 def _parse_rat_arg(s: str, what: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(EXIT_INPUT, f"bad rational for {what}: {s!r}") from exc
+    # an integer, p/q or plain decimal; an exponent (1e10000000) is unbounded work
+    if re.fullmatch(r"\s*[+-]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*", s):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):  # too many digits, or a zero denominator
+            pass
+    raise CliError(EXIT_INPUT, f"bad rational for {what}: {s!r}")
 
 
 def _parse_twist_arg(s: str) -> TwistSign:
@@ -163,13 +167,12 @@ def _parse_twist_arg(s: str) -> TwistSign:
     return TwistSign(int(parts[0]), int(parts[1]))
 
 
-# family name -> (builder, closed-form criterion)
-_FAMILIES = {"even": (even_module, criterion_even), "odd": (odd_module, criterion_odd)}
+_FAMILIES = {"even": EvenParams, "odd": OddParams}
 
 
-def _build_family_module(family: str, d: int, a, b, c) -> BIModule:
+def _family_point(family: str, d: int, a, b, c) -> FamilyParams:
     try:
-        return _FAMILIES[family][0](d, a, b, c)
+        return _FAMILIES[family](d, a, b, c)
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
 
@@ -183,10 +186,10 @@ def _criterion_from_meta(meta: dict, dim: int) -> bool | None:
     """Whether the criterion holds at a module file's meta coordinates, or
     None if they are absent/foreign (including a d with d + 1 != dim)."""
     try:
-        criterion, d = _FAMILIES[meta["family"]][1], int(meta["d"])
+        family, d = _FAMILIES[meta["family"]], int(meta["d"])
         if d + 1 != dim:
             return None  # the coordinates of a module of another dimension
-        return criterion(d, *(Fraction(meta[k]) for k in ("a", "b", "c")))
+        return criterion_verdict(family(d, *(Fraction(meta[k]) for k in "abc"))).is_irreducible
     except (KeyError, ValueError, ZeroDivisionError, TypeError):
         return None  # absent keys, foreign values, or d of the wrong parity
 
@@ -239,7 +242,7 @@ def _factored_string(roots: Roots) -> str | None:
 def cmd_build(args) -> int:
     a, b, c = (_parse_rat_arg(getattr(args, k), f"--{k}") for k in "abc")
     sign = _parse_twist_arg(args.twist)
-    mod = twist(_build_family_module(args.family, args.d, a, b, c), sign)
+    mod = twist(_family_point(args.family, args.d, a, b, c).module(), sign)
     _note(args, f"kappa={mod.kappa} lambda={mod.lam} mu={mod.mu}")
     _write_output(serialize_module(mod, _family_meta(args.family, args.d, a, b, c, sign)), args)
     return EXIT_OK
@@ -327,16 +330,14 @@ def cmd_scan(args, report: dict) -> int:
     values = [_parse_rat_arg(tok, "--values") for tok in args.values.split(",") if tok]
     if not values:
         raise CliError(EXIT_INPUT, "--values must list at least one rational")
-    criterion = _FAMILIES[args.family][1]
     disagreements, indeterminate = [], []
     for a, b, c in itertools.product(values, repeat=3):
-        point = [str(a), str(b), str(c)]
-        verdict = oracle_irreducible(_build_family_module(args.family, args.d, a, b, c))
-        expected = criterion(args.d, a, b, c)
+        point = _family_point(args.family, args.d, a, b, c)
+        verdict = oracle_irreducible(point.module())
         if verdict.status == "indeterminate":
-            indeterminate.append(point)
-        elif verdict.is_irreducible != expected:
-            disagreements.append(point)
+            indeterminate.append([str(a), str(b), str(c)])
+        elif verdict.is_irreducible != criterion_verdict(point).is_irreducible:
+            disagreements.append([str(a), str(b), str(c)])
     report.update(family=args.family, d=args.d, grid_points=len(values) ** 3,
                   disagreements=disagreements, indeterminate=indeterminate)
     if disagreements:

@@ -96,6 +96,13 @@ class Matrix:
     def from_columns(cls, cols: Sequence[Sequence[RatLike]]) -> "Matrix":
         return cls(zip(*[tuple(c) for c in cols]))
 
+    @classmethod
+    def block_diag(cls, *blocks: "Matrix") -> "Matrix":
+        """The blocks down the diagonal, the first at the top left."""
+        widths = [b.ncols for b in blocks]
+        return cls._new(tuple((_F0,) * sum(widths[:i]) + r + (_F0,) * sum(widths[i + 1:])
+                              for i, b in enumerate(blocks) for r in b.rows))
+
     @property
     def nrows(self) -> int:
         return len(self.rows)

@@ -14,9 +14,12 @@ from bannai_ito.bimodule import (
     SequenceTable,
     TwistSign,
     central_scalars,
+    certify_intertwiner,
     check_relations,
+    conjugate,
     derive_Z,
     diagonalizability,
+    direct_sum,
     even_module,
     example_even,
     example_odd,
@@ -24,6 +27,7 @@ from bannai_ito.bimodule import (
     odd_module,
     twist,
 )
+from bannai_ito.classify import are_isomorphic
 from bannai_ito.exactlinalg import Matrix, Poly, anticommutator
 
 F = Fraction
@@ -183,6 +187,36 @@ def test_twist_composition_and_identity():
     s, t = TwistSign(-1, 1), TwistSign(-1, -1)
     assert twist(twist(v, s), t).same_matrices(twist(v, s * t))
     assert twist(v, TwistSign(1, 1)).same_matrices(v)
+
+
+@pytest.mark.parametrize("point, sign", [
+    (EvenParams(3, F(1, 3), F(2, 7), F(5, 11)), TwistSign(-1, 1)),
+    (OddParams(2, F(1, 3), F(2, 7), F(5, 11)), TwistSign(1, -1)),
+], ids=["even", "odd"])
+def test_conjugate_and_direct_sum(point, sign):
+    v = twist(point.module(), sign)
+    n = v.dim
+    upper = Matrix([[1 if j >= i else 0 for j in range(n)] for i in range(n)])
+    p = upper * upper.T  # dense, determinant 1
+    w = conjugate(v, p)
+    # P invertible with P X_V = X_W P and P Y_V = Y_W P: W is P V P^-1
+    assert certify_intertwiner(p, v, w, "P") is p
+    assert (w.kappa, w.lam, w.mu) == (v.kappa, v.lam, v.mu)
+    ok, t = are_isomorphic(v, w)
+    assert ok and certify_intertwiner(t, v, w, "T") is t and t.rank() == n
+    with pytest.raises(ValueError, match="singular"):
+        conjugate(v, upper - Matrix.identity(n))
+    # the first summand at the top left, the stored scalars carried and checked
+    s = direct_sum(v, w)
+    assert (s.X, s.Y) == (Matrix.block_diag(v.X, w.X), Matrix.block_diag(v.Y, w.Y))
+    assert (s.kappa, s.lam, s.mu) == (v.kappa, v.lam, v.mu) and check_relations(s).ok
+    for summands in ((v, twist(v, TwistSign(-1, -1))), (v, BIModule(w.X, w.Y, w.kappa)), ()):
+        with pytest.raises(ValueError, match="store one"):
+            direct_sum(*summands)
+    # Matrix.block_diag of non-square blocks: summed shape, each block in place
+    a, b = Matrix([[1, 2, 3]]), Matrix([[4], [5]])
+    assert Matrix.block_diag(a, b) == Matrix([[1, 2, 3, 0], [0, 0, 0, 4], [0, 0, 0, 5]])
+    assert Matrix.block_diag(a) == a
 
 
 def test_minimal_polynomials_of_examples():

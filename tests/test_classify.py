@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from bannai_ito import classify
 from bannai_ito.bimodule import ALL_TWISTS, BIModule, CertificateError, EvenParams, \
-    NotAModule, OddParams, TwistSign, even_module, example_even, example_odd, odd_module, twist
+    NotAModule, OddParams, TwistSign, conjugate, direct_sum, even_module, example_even, \
+    example_odd, odd_module, twist
 from bannai_ito.classify import ClassCoordinates, IdentificationFailed, \
     IndeterminateIsomorphism, NonSplitSpectrum, NotRationalFamily, a_flip_basis_matrices, \
     are_isomorphic, criterion_even, criterion_odd, criterion_verdict, identify, \
@@ -88,9 +89,9 @@ def test_oracle_dimension_one():
 _P4 = Matrix([[1, 1, -1, 0], [1, 2, -2, 1], [-1, 0, 1, 0], [-1, -1, 1, 1]])
 
 
-def _conjugate(x: Matrix, y: Matrix, p: Matrix) -> BIModule:
-    p_inv = p.inverse()
-    return BIModule(p * x * p_inv, p * y * p_inv, kappa=F(0), lam=F(0), mu=F(0))
+def _pair(x: Matrix, y: Matrix) -> BIModule:
+    """An operator pair with all three stored scalars 0."""
+    return BIModule(x, y, F(0), F(0), F(0))
 
 
 def _unimodular(n: int, rng: random.Random) -> Matrix:
@@ -115,18 +116,12 @@ def _block_sum(seed: int, size: int) -> BIModule:
             if s.det() != 0:
                 return s
 
-    def unit_triangular(n, below):
-        return Matrix([[1 if i == j else rng.randint(-1, 1) if (j < i) == below else 0
-                        for j in range(n)] for i in range(n)])
-
-    d = Matrix([[k if k == j else 0 for j in range(size)] for k in range(size)])
-    x_blocks, y_blocks = [], []
+    d = _pair(Matrix.diagonal(range(size)), Matrix.diagonal(range(size)))
+    blocks = []
     for _ in range(2):
         s, t = invertible(size), invertible(size)
-        x_blocks.append(s * d * s.inverse())
-        y_blocks.append(t * d * t.inverse())
-    p = unit_triangular(2 * size, True) * unit_triangular(2 * size, False)
-    return _conjugate(classify._direct_sum(*x_blocks), classify._direct_sum(*y_blocks), p)
+        blocks.append(_pair(conjugate(d, s).X, conjugate(d, t).Y))
+    return conjugate(direct_sum(*blocks), _unimodular(2 * size, rng))
 
 
 def test_oracle_x_shift_norton_reducible():
@@ -136,7 +131,7 @@ def test_oracle_x_shift_norton_reducible():
     # the first shift, X + 2, sits in the second plane
     x = Matrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 4], [0, 0, 1, 0]])
     y = Matrix([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
-    mod = _conjugate(x, y, _P4)
+    mod = conjugate(_pair(x, y), _P4)
     for th in (0, 1):
         for v in kernel_basis(mod.Y - th * Matrix.identity(4)):
             assert len(spin([v], [mod.X, mod.Y])) == 4
@@ -152,10 +147,9 @@ def test_oracle_spins_x_eigenvectors():
     # X = X1 + X2 with both blocks of spectrum {1, -1}, so every shift of X
     # and of Y = diag(0, 1, 0, 1) has nullity 2 and every Y-eigenvector spin
     # is full; a kernel vector of X + 1 lies in the first plane
-    x = classify._direct_sum(Matrix([[0, 1], [1, 0]]),
-                             Matrix([[F(1, 2), F(3, 4)], [1, F(-1, 2)]]))
-    y = Matrix([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
-    mod = _conjugate(x, y, _P4)
+    y = Matrix.diagonal([0, 1])
+    mod = conjugate(direct_sum(_pair(Matrix([[0, 1], [1, 0]]), y),
+                               _pair(Matrix([[F(1, 2), F(3, 4)], [1, F(-1, 2)]]), y)), _P4)
     for th in (0, 1):
         for v in kernel_basis(mod.Y - th * Matrix.identity(4)):
             assert len(spin([v], [mod.X, mod.Y])) == 4
@@ -218,9 +212,7 @@ def test_oracle_spins_fat_eigenspaces_of_direct_sums(monkeypatch, d):
     a, b, c = F(1, 3), F(2, 7), F(5, 11)
     v = even_module(d, a, b, c)
     for partner in ((a, b, c), (-a, b, c), (a, -b, c), (a, b, -c)):
-        w = even_module(d, *partner)
-        s = BIModule(classify._direct_sum(v.X, w.X), classify._direct_sum(v.Y, w.Y),
-                     v.kappa, v.lam, v.mu)
+        s = direct_sum(v, even_module(d, *partner))
         verdict = oracle_irreducible(s)
         assert verdict.is_reducible
         assert verdict.detail.startswith("an eigenvector in the kernel of Y - ")
@@ -472,12 +464,8 @@ def test_are_isomorphic_seed_eigenspace_nullities_differ():
 def test_are_isomorphic_direct_power_against_a_conjugate(k):
     # Hom(E^k, P E^k P^-1) is k^2-dimensional and every basis element has
     # rank 2; random combinations of the whole basis find an isomorphism
-    e = even_module(1, F(1, 3), F(2, 7), F(5, 11))
-    x, y = classify._direct_sum(*[e.X] * k), classify._direct_sum(*[e.Y] * k)
-    p = _unimodular(2 * k, random.Random(k))
-    p_inv = p.inverse()
-    v = BIModule(x, y, e.kappa, e.lam, e.mu)
-    w = BIModule(p * x * p_inv, p * y * p_inv, e.kappa, e.lam, e.mu)
+    v = direct_sum(*[even_module(1, F(1, 3), F(2, 7), F(5, 11))] * k)
+    w = conjugate(v, _unimodular(2 * k, random.Random(k)))
     assert all(t.rank() < 2 * k for t in intertwiner_space(v, w))
     ok, t = are_isomorphic(v, w)
     assert ok and t.rank() == 2 * k
@@ -541,9 +529,7 @@ def test_intertwiner_space_of_a_wall_point_spins_once(monkeypatch):
     # needs no spectrum
     e = even_module(3, F(2, 3), F(3, 4), F(5, 12))
     assert not criterion_even(3, F(2, 3), F(3, 4), F(5, 12))
-    p = _unimodular(4, random.Random(1))
-    p_inv = p.inverse()
-    conj = BIModule(p * e.X * p_inv, p * e.Y * p_inv, e.kappa, e.lam, e.mu)
+    conj = conjugate(e, _unimodular(4, random.Random(1)))
     spins, dense = [], []
     real_spin, real_spectrum = classify.spin, classify.rational_spectrum
 
@@ -615,9 +601,7 @@ def operator_pairs(draw):
                        for j in range(n)] for i in range(n)])
         up = Matrix([[1 if i == j else draw(st.integers(-1, 1)) if j > i else 0
                       for j in range(n)] for i in range(n)])
-        p = low * up
-        p_inv = p.inverse()
-        return v, BIModule(p * v.X * p_inv, p * v.Y * p_inv, F(0), F(0), F(0))
+        return v, conjugate(v, low * up)
     return v, pair(m)
 
 
@@ -640,11 +624,7 @@ def _direct_sum_pair(d: int) -> tuple[BIModule, BIModule]:
     n = 2 * (d + 1)
     shift = Matrix([[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)])
     p = (Matrix.identity(n) + shift.T) * (Matrix.identity(n) - shift)
-    p_inv = p.inverse()
-    x, y = classify._direct_sum(v.X, flip.X), classify._direct_sum(v.Y, flip.Y)
-    return (BIModule(classify._direct_sum(v.X, v.X), classify._direct_sum(v.Y, v.Y),
-                     v.kappa, v.lam, v.mu),
-            BIModule(p * x * p_inv, p * y * p_inv, v.kappa, v.lam, v.mu))
+    return direct_sum(v, v), conjugate(direct_sum(v, flip), p)
 
 
 def test_intertwiner_work_is_bounded(monkeypatch):
@@ -732,9 +712,7 @@ def test_identify_computes_no_spectrum_of_a_conjugate(monkeypatch):
         calls.append(m.is_upper_triangular() or m.is_lower_triangular())
         return rational_spectrum(m)
 
-    e = even_module(3, F(1, 3), F(2, 7), F(5, 11))
-    p_inv = _P4.inverse()
-    mod = BIModule(_P4 * e.X * p_inv, _P4 * e.Y * p_inv, e.kappa, e.lam, e.mu)
+    mod = conjugate(even_module(3, F(1, 3), F(2, 7), F(5, 11)), _P4)
     expected = ClassCoordinates("even", 3, TwistSign(1, 1), (F(1, 3), F(2, 7), F(5, 11)))
     monkeypatch.setattr(classify, "rational_spectrum", counting_rational_spectrum)
     assert identify(mod, assume_irreducible=True) == expected
@@ -789,9 +767,7 @@ def test_identify_failure_outside_family():
 def test_identify_direct_sum_names_an_irreducible_point():
     # E_1(1, 1, 1) + E_1(1, 1, 1) has the traces and central scalars of the
     # irreducible E_3(2, 2, 2), but a 2-dimensional ker(Y - theta*_0)
-    e = even_module(1, 1, 1, 1)
-    s = BIModule(classify._direct_sum(e.X, e.X), classify._direct_sum(e.Y, e.Y),
-                 e.kappa, e.lam, e.mu)
+    s = direct_sum(even_module(1, 1, 1, 1), even_module(1, 1, 1, 1))
     assert classify._named_point(invariants(s), 4) == (EvenParams(3, 2, 2, 2), TwistSign(1, 1))
     with pytest.raises(IdentificationFailed) as exc:
         identify(s, assume_irreducible=True)
@@ -838,9 +814,7 @@ def test_family_maps_make_no_hom_search(monkeypatch):
 
     for name in ("are_isomorphic", "_hom", "intertwiner_space"):
         monkeypatch.setattr(classify, name, forbidden)
-    e = even_module(3, F(1, 3), F(-2, 7), F(5, 11))
-    p_inv = _P4.inverse()
-    mod = BIModule(_P4 * e.X * p_inv, _P4 * e.Y * p_inv, e.kappa, e.lam, e.mu)
+    mod = conjugate(even_module(3, F(1, 3), F(-2, 7), F(5, 11)), _P4)
     assert identify(twist(mod, TwistSign(-1, 1))) == ClassCoordinates(
         "even", 3, TwistSign(-1, 1), (F(1, 3), F(2, 7), F(5, 11)))
     assert identify(example_odd()).family == "odd"
@@ -924,13 +898,7 @@ def test_conjugated_family_points_property(family_d, a, b, c, sign, seed):
     base = (even_module if even else odd_module)(d, a, b, c)
     v = twist(base, sign)
     n = v.dim
-
-    def conjugate(rng):
-        p = _unimodular(n, rng)
-        p_inv = p.inverse()
-        return BIModule(p * v.X * p_inv, p * v.Y * p_inv, v.kappa, v.lam, v.mu)
-
-    mod = conjugate(random.Random(seed))
+    mod = conjugate(v, _unimodular(n, random.Random(seed)))
     if even:
         named = EvenParams(d, *orbit_canonical(a, b, c))
         theta = sign.eps_prime * named.theta_star(0)
@@ -957,7 +925,7 @@ def test_conjugated_family_points_property(family_d, a, b, c, sign, seed):
             assert verify_invariant_subspace(mod, verdict.witness)
         else:
             assert identify(mod, assume_irreducible=True) == expected
-            other = conjugate(random.Random(seed + 1))
+            other = conjugate(v, _unimodular(n, random.Random(seed + 1)))
             ok, t = are_isomorphic(mod, other)
             assert ok and t.rank() == n
             assert (t * mod.X, t * mod.Y) == (other.X * t, other.Y * t)

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from bannai_ito.bimodule import BIModule, TwistSign, even_module, example_even, \
-    example_odd, odd_module, twist
+from bannai_ito.bimodule import BIModule, TwistSign, conjugate, even_module, \
+    example_even, example_odd, odd_module, twist
 from bannai_ito import classify, cli
 from bannai_ito.classify import IndeterminateIsomorphism, IrrVerdict, \
     verify_invariant_subspace
@@ -62,10 +62,15 @@ def test_parse_rejects_non_canonical_rational():
     assert exc.value.code == 2
 
 
+# nested past the recursion limit, and an integer past Python's digit limit
+_DEEP, _HUGE = "[" * 200000, '{"dim": 1' + "0" * 5000 + "}"
+
+
 def test_parse_rejects_malformed_documents():
     for bad in ("not json", '{"dim": 1}', '[]',
                 '{"dim": 2, "X": [["0"]], "Y": [["0"]], "kappa": "0"}',
-                '{"dim": 1, "X": [["0"]], "Y": [["0"]], "kappa": "0", "bogus": 1}'):
+                '{"dim": 1, "X": [["0"]], "Y": [["0"]], "kappa": "0", "bogus": 1}',
+                _DEEP, _HUGE):
         with pytest.raises(CliError) as exc:
             parse_module(bad)
         assert exc.value.code == 2
@@ -128,6 +133,17 @@ def test_build_rejects_bad_rational(capsys):
     code, _, _ = run_cli(capsys, "build", "--family", "even", "--d", "1",
                          "--a", "one", "--b", "0", "--c", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["build", "--family", "even", "--d", "1", "--a=1e5000", "--b", "0", "--c", "0"], "--a"),
+    (["scan", "--family", "even", "--d", "1", "--values=1e5000"], "--values"),
+], ids=["build", "scan"])
+def test_exponent_rationals_are_rejected(capsys, argv, flag):
+    # the exponent form is not a documented rational: rejected before Fraction
+    # expands its digits
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: bad rational for {flag}: '1e5000'\n")
 
 
 def test_fixture_outputs_are_pinned(capsys):
@@ -199,13 +215,19 @@ _ONE = {"dim": 1, "X": [["1"]], "Y": [["0"]], "kappa": "0"}
     (["check", "{path}"], None, "cannot read {path}: "),
     (["check", "{path}"], dict(_ONE, X=[[1]]), "rational must be a string, got 1"),
     (["check", "{path}"], dict(_ONE, meta=[]), "meta must be an object"),
-], ids=["build-twist", "scan-values", "check-missing", "check-entry", "check-meta"])
+    (["check", "{path}"], b'{"dim": 1, "X": [["\xff"]]}', "cannot read {path}: "),
+    (["check", "{path}"], _DEEP, "module file is not valid JSON: "),
+    (["check", "{path}"], _HUGE, "module file is not valid JSON: "),
+], ids=["build-twist", "scan-values", "check-missing", "check-entry", "check-meta",
+        "check-not-utf8", "check-too-deep", "check-too-many-digits"])
 def test_bad_input_exits_2(capsys, tmp_path, argv, doc, message):
     path = str(tmp_path / "m.json")
+    if isinstance(doc, dict):
+        doc = json.dumps(doc)
     if doc is not None:
-        Path(path).write_text(json.dumps(doc))
+        Path(path).write_bytes(doc if isinstance(doc, bytes) else doc.encode())
     code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
-    assert code == 2 and out == ""
+    assert code == 2 and out == "" and err.count("\n") == 1
     assert err.startswith("error: " + message.format(path=path))
 
 
@@ -455,9 +477,7 @@ def test_iso_of_large_conjugates_needs_no_spectrum(capsys, tmp_path, monkeypatch
                        for i in range(n)])
 
     for name in ("p.json", "q.json"):
-        p = unit_lower() * unit_lower().T
-        p_inv = p.inverse()
-        mods.append(BIModule(p * v.X * p_inv, p * v.Y * p_inv, v.kappa, v.lam, v.mu))
+        mods.append(conjugate(v, unit_lower() * unit_lower().T))
         (tmp_path / name).write_text(serialize_module(mods[-1]))
     code, out, _ = run_cli(capsys, "iso", str(tmp_path / "p.json"), str(tmp_path / "q.json"),
                            "--no-timing")
