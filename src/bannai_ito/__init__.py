@@ -88,7 +88,6 @@ from .universal import (
     ladder_map,
     ladder_vector,
     truncated_verma,
-    universal_map,
     verma_quotient_check,
 )
 
@@ -154,7 +153,6 @@ __all__ = [
     "spin",
     "truncated_verma",
     "twist",
-    "universal_map",
     "verify_invariant_subspace",
     "verma_quotient_check",
 ]

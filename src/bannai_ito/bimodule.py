@@ -5,9 +5,11 @@ The algebra is generated by X, Y, Z subject to the condition that
 exact rational matrices (X, Y) together with the scalar kappa by which
 {X, Y} - Z acts, with Z always *derived* as {X, Y} - kappa*I.  Two families of
 modules are constructed in closed form: an even-dimensional one (dimension
-d + 1 with d odd) and an odd-dimensional one (d even).  Both have X lower
-bidiagonal with free subdiagonal 1 and Y upper bidiagonal; a family point
-(``EvenParams``, ``OddParams``) is its own ``SequenceTable`` at delta = d.
+d + 1 with d odd) and an odd-dimensional one (d even).  A family point
+(``EvenParams``, ``OddParams``) is its own ``SequenceTable``, the Verma-type
+module at delta = d (even) or at a reparametrized point (odd), and its module
+is the quotient on the first d + 1 ladder vectors: X lower bidiagonal with
+free subdiagonal 1, Y upper bidiagonal.
 Modules built from modules: ``twist``, ``conjugate`` and ``direct_sum``.
 """
 
@@ -45,10 +47,9 @@ def _sign(i: int) -> int:
 
 @dataclass(frozen=True)
 class SequenceTable:
-    """Closed-form sequences of the Verma-type module M_delta(a, b, c), the
-    even family's formulas; `delta` may be any rational.  A family point
-    (``FamilyParams``) is its own table at delta = d, and the odd family
-    overrides phi_upper and central_scalars.
+    """Closed-form sequences of the Verma-type module M_delta(a, b, c);
+    `delta` may be any rational.  A family point (``FamilyParams``) is its
+    own table, cut after v_d where phi_{d+1} = 0.
 
     theta(i)      eigenvalue sequence of X
     theta_star(i) eigenvalue sequence of Y
@@ -95,20 +96,27 @@ class SequenceTable:
 class FamilyParams(SequenceTable):
     """A point (d, a, b, c) of one family, fixed by the subclass (d odd >= 1
     for the even-dimensional family, d even >= 0 for the odd one): the
-    sequence table at delta = d, with a, b, c coerced to rationals."""
+    Verma table at the subclass's ``_verma`` point, keeping d and the
+    family's own (a, b, c) as ``coords``."""
 
     family: ClassVar[str]
+    d: int
+    coords: tuple[Fraction, Fraction, Fraction]
 
     def __init__(self, d: int, a: RatLike, b: RatLike, c: RatLike):
-        # the smallest admissible d also has the parity every d must have
-        low, need = {"even": (1, "odd d >= 1"), "odd": (0, "even d >= 0")}[self.family]
-        if not isinstance(d, int) or isinstance(d, bool) or d < low or d % 2 != low:
-            raise ValueError(f"{self.family} family needs {need}, got {d}")
-        super().__init__(Fraction(d), rat(a), rat(b), rat(c))
+        object.__setattr__(self, "coords", self.checked(d, a, b, c))
+        object.__setattr__(self, "d", d)
+        super().__init__(*self._verma(d, *self.coords))
 
-    @property
-    def d(self) -> int:
-        return self.delta.numerator
+    @classmethod
+    def checked(cls, d: int, a: RatLike, b: RatLike, c: RatLike) -> tuple[Fraction, ...]:
+        """(a, b, c) as rationals, ValueError unless d fits: the point's check
+        without the Fraction work of its table."""
+        # the smallest admissible d also has the parity every d must have
+        low, need = {"even": (1, "odd d >= 1"), "odd": (0, "even d >= 0")}[cls.family]
+        if not isinstance(d, int) or isinstance(d, bool) or d < low or d % 2 != low:
+            raise ValueError(f"{cls.family} family needs {need}, got {d}")
+        return rat(a), rat(b), rat(c)
 
     def module(self) -> "BIModule":
         """The (d+1)-dimensional module: X v_i = theta_i v_i + v_{i+1}
@@ -118,23 +126,27 @@ class FamilyParams(SequenceTable):
 
 
 class EvenParams(FamilyParams):
-    """Parameters of the even-dimensional family: d odd >= 1, rational a, b, c."""
+    """Parameters of the even-dimensional family: d odd >= 1, rational a, b, c.
+    The table is M_d(a, b, c), cut where phi_{d+1} = (d + 1)(delta - d) = 0."""
     family = "even"
+
+    @staticmethod
+    def _verma(d: int, a: Fraction, b: Fraction, c: Fraction) -> tuple[Fraction, ...]:
+        return Fraction(d), a, b, c
 
 
 class OddParams(FamilyParams):
-    """Parameters of the odd-dimensional family: d even >= 0, rational a, b, c."""
+    """Parameters of the odd-dimensional family: d even >= 0, rational a, b, c.
+    The table is M_delta(a - k, b - k, k - c) with delta = (d-1)/2 - (a+b+c)
+    and k = (d - delta)/2, cut where phi_{d+1} = c*^2 - s^2 = 0: there
+    c* = k - c and s = a + b + (delta + 1)/2 are equal."""
     family = "odd"
 
-    def phi_upper(self, i: int) -> Fraction:
-        d = self.delta
-        if i % 2 == 0:
-            return Fraction(i) * (d + 1 - 2 * i - 2 * (self.a + self.b + self.c)) / 2
-        return Fraction(i - d - 1) * (d + 1 - 2 * i - 2 * (self.a + self.b - self.c)) / 2
-
-    def central_scalars(self) -> tuple[Fraction, Fraction, Fraction]:
-        a, b, c, n = self.a, self.b, self.c, self.delta + 1
-        return (2 * a * b - c * n, 2 * b * c - a * n, 2 * c * a - b * n)
+    @staticmethod
+    def _verma(d: int, a: Fraction, b: Fraction, c: Fraction) -> tuple[Fraction, ...]:
+        delta = Fraction(d - 1, 2) - (a + b + c)
+        k = (d - delta) / 2
+        return delta, a - k, b - k, k - c
 
 
 @dataclass(frozen=True)

@@ -73,18 +73,18 @@ class IndeterminateIsomorphism(Exception):
 def criterion_even(d: int, a: RatLike, b: RatLike, c: RatLike) -> bool:
     """Admissibility of (a, b, c) for the even family: the four sums
     a+b+c, -a+b+c, a-b+c, a+b-c must avoid (d-1)/2 - i for even i < d."""
-    p = EvenParams(d, a, b, c)
+    a, b, c = EvenParams.checked(d, a, b, c)
     forbidden = {Fraction(d - 1, 2) - i for i in range(0, d, 2)}
-    sums = (p.a + p.b + p.c, -p.a + p.b + p.c, p.a - p.b + p.c, p.a + p.b - p.c)
+    sums = (a + b + c, -a + b + c, a - b + c, a + b - c)
     return all(s not in forbidden for s in sums)
 
 
 def criterion_odd(d: int, a: RatLike, b: RatLike, c: RatLike) -> bool:
     """Admissibility for the odd family: a+b+c, a-b-c, -a+b-c, -a-b+c must
     avoid (d+1)/2 - i for even i with 2 <= i <= d (vacuous at d = 0)."""
-    p = OddParams(d, a, b, c)
+    a, b, c = OddParams.checked(d, a, b, c)
     forbidden = {Fraction(d + 1, 2) - i for i in range(2, d + 1, 2)}
-    vals = (p.a + p.b + p.c, p.a - p.b - p.c, -p.a + p.b - p.c, -p.a - p.b + p.c)
+    vals = (a + b + c, a - b - c, -a + b - c, -a - b + c)
     return all(v not in forbidden for v in vals)
 
 
@@ -108,7 +108,7 @@ class IrrVerdict:
 
 def criterion_verdict(params: EvenParams | OddParams) -> IrrVerdict:
     criterion = criterion_even if params.family == "even" else criterion_odd
-    ok = criterion(params.d, params.a, params.b, params.c)
+    ok = criterion(params.d, *params.coords)
     return IrrVerdict("irreducible" if ok else "reducible", None, "criterion")
 
 
@@ -514,7 +514,7 @@ def identify(v_mod: BIModule, *, assume_irreducible: bool = False) -> ClassCoord
         raise IdentificationFailed(f"the invariants name a reducible {p.family} point")
     if _family_map(p, twist(v_mod, sign)) is None:
         raise IdentificationFailed(f"no invertible intertwiner to the {p.family} family")
-    return ClassCoordinates(p.family, p.d, sign if p.family == "even" else None, (p.a, p.b, p.c))
+    return ClassCoordinates(p.family, p.d, sign if p.family == "even" else None, p.coords)
 
 
 # --- odd-family twist collapse ----------------------------------------------------
@@ -533,11 +533,12 @@ def odd_twist_check(d: int, a: RatLike, b: RatLike, c: RatLike) -> tuple[OddTwis
     intertwiners twist(V) -> W: ladder maps V -> twist(W), nonzero out of an
     irreducible V and so invertible."""
     p = OddParams(d, a, b, c)
-    if not criterion_odd(d, p.a, p.b, p.c):
+    a, b, c = p.coords
+    if not criterion_odd(d, a, b, c):
         raise ValueError("twist collapse requires an irreducible starting point")
     out = []
     for sign in ALL_TWISTS[1:]:
-        target = (sign.eps * p.a, sign.eps_prime * p.b, sign.eps * sign.eps_prime * p.c)
+        target = (sign.eps * a, sign.eps_prime * b, sign.eps * sign.eps_prime * c)
         t = _family_map(p, twist(odd_module(d, *target), sign))
         out.append(OddTwistEntry(sign, target, t is not None, t))
     return tuple(out)

@@ -62,8 +62,14 @@ def _str_to_rat(s) -> Fraction:
     return q
 
 
-def _matrix_to_lists(m: Matrix) -> list[list[str]]:
-    return [[str(e) for e in row] for row in m.rows]
+def _rat_str(q: Fraction) -> str:
+    """How every output writes a rational (the JSON encoder's default too);
+    CliError (exit 2) if it has more digits than the interpreter converts."""
+    try:
+        return str(q)
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, "a derived rational has more than "
+                       f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def _matrix_from_lists(rows, what: str) -> Matrix:
@@ -77,16 +83,13 @@ def _matrix_from_lists(rows, what: str) -> Matrix:
 
 
 def serialize_module(mod: BIModule, meta: dict | None = None) -> str:
-    doc = {"dim": mod.dim,
-           "X": _matrix_to_lists(mod.X),
-           "Y": _matrix_to_lists(mod.Y),
-           "kappa": str(mod.kappa)}
+    doc = {"dim": mod.dim, "X": mod.X.rows, "Y": mod.Y.rows, "kappa": mod.kappa}
     if mod.lam is not None:
-        doc["lambda"] = str(mod.lam)
+        doc["lambda"] = mod.lam
     if mod.mu is not None:
-        doc["mu"] = str(mod.mu)
+        doc["mu"] = mod.mu
     doc["meta"] = dict(meta) if meta else {}
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, default=_rat_str) + "\n"
 
 
 def parse_module(text: str) -> tuple[BIModule, dict]:
@@ -178,8 +181,8 @@ def _family_point(family: str, d: int, a, b, c) -> FamilyParams:
 
 
 def _family_meta(family: str, d: int, a, b, c, sign: TwistSign) -> dict:
-    return {"family": family, "d": str(d), "a": str(Fraction(a)), "b": str(Fraction(b)),
-            "c": str(Fraction(c)), "twist": f"{sign.eps},{sign.eps_prime}"}
+    return {"family": family, "d": str(d), "a": Fraction(a), "b": Fraction(b),
+            "c": Fraction(c), "twist": f"{sign.eps},{sign.eps_prime}"}
 
 
 def _criterion_from_meta(meta: dict, dim: int) -> bool | None:
@@ -189,9 +192,10 @@ def _criterion_from_meta(meta: dict, dim: int) -> bool | None:
         family, d = _FAMILIES[meta["family"]], int(meta["d"])
         if d + 1 != dim:
             return None  # the coordinates of a module of another dimension
-        return criterion_verdict(family(d, *(Fraction(meta[k]) for k in "abc"))).is_irreducible
-    except (KeyError, ValueError, ZeroDivisionError, TypeError):
-        return None  # absent keys, foreign values, or d of the wrong parity
+        return criterion_verdict(family(d, *(_parse_rat_arg(meta[k], k) for k in "abc"))
+                                 ).is_irreducible
+    except (CliError, KeyError, ValueError, TypeError, OverflowError):
+        return None  # absent keys, foreign values (not a rational argument), or bad d
 
 
 # --- report fragments --------------------------------------------------------------
@@ -199,31 +203,27 @@ def _criterion_from_meta(meta: dict, dim: int) -> bool | None:
 def _relations_fragment(mod: BIModule) -> tuple[list[dict], bool]:
     rep = check_relations(mod)
     rows = [{"relation": ch.name, "passed": ch.passed,
-             "scalar": None if ch.scalar is None else str(ch.scalar),
-             "expected": None if ch.expected is None else str(ch.expected)}
+             "scalar": ch.scalar, "expected": ch.expected}
             for ch in rep.checks]
     return rows, rep.ok
 
 
 def _verdict_fragment(verdict) -> dict:
-    out = {"status": verdict.status, "method": verdict.method, "detail": verdict.detail}
-    out["witness"] = (None if verdict.witness is None
-                      else [[str(e) for e in v] for v in verdict.witness])
-    return out
+    return {"status": verdict.status, "method": verdict.method, "detail": verdict.detail,
+            "witness": verdict.witness}
 
 
 def _invariants_fragment(mod: BIModule) -> dict:
     inv = invariants(mod)
-    return {"trace_X": str(inv.trace_x), "trace_Y": str(inv.trace_y),
-            "kappa": str(inv.kappa), "lambda": str(inv.lam),
-            "mu": str(inv.mu)}
+    return {"trace_X": inv.trace_x, "trace_Y": inv.trace_y,
+            "kappa": inv.kappa, "lambda": inv.lam, "mu": inv.mu}
 
 
 def _coords_fragment(coords) -> dict:
     return {"family": coords.family, "d": coords.d,
             "twist": None if coords.twist is None
             else f"{coords.twist.eps},{coords.twist.eps_prime}",
-            "params": [str(p) for p in coords.params]}
+            "params": coords.params}
 
 
 def _factored_string(roots: Roots) -> str | None:
@@ -232,7 +232,7 @@ def _factored_string(roots: Roots) -> str | None:
     pieces = []
     for r in sorted(set(roots.roots), reverse=True):
         mult = roots.roots.count(r)
-        base = "x" if r == 0 else f"(x - {r})" if r > 0 else f"(x + {-r})"
+        base = "x" if r == 0 else f"(x - {_rat_str(r)})" if r > 0 else f"(x + {_rat_str(-r)})"
         pieces.append(base + (f"^{mult}" if mult > 1 else ""))
     return "".join(pieces)
 
@@ -243,7 +243,7 @@ def cmd_build(args) -> int:
     a, b, c = (_parse_rat_arg(getattr(args, k), f"--{k}") for k in "abc")
     sign = _parse_twist_arg(args.twist)
     mod = twist(_family_point(args.family, args.d, a, b, c).module(), sign)
-    _note(args, f"kappa={mod.kappa} lambda={mod.lam} mu={mod.mu}")
+    _note(args, "kappa={} lambda={} mu={}".format(*map(_rat_str, (mod.kappa, mod.lam, mod.mu))))
     _write_output(serialize_module(mod, _family_meta(args.family, args.d, a, b, c, sign)), args)
     return EXIT_OK
 
@@ -304,7 +304,7 @@ def cmd_iso(args, report: dict, first, second) -> int:
         report.update(isomorphic="indeterminate", detail=str(exc))
         return EXIT_INDETERMINATE
     report["isomorphic"] = ok
-    report["intertwiner"] = _matrix_to_lists(t) if ok else None
+    report["intertwiner"] = t.rows if ok else None
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -317,7 +317,7 @@ def cmd_minpoly(args, report: dict, source) -> int:
         squarefree = is_squarefree(p)
         report["results"].append({
             "generator": name,
-            "min_poly_coeffs": [str(cf) for cf in p.coeffs],
+            "min_poly_coeffs": p.coeffs,
             "factored": _factored_string(roots),
             "squarefree": squarefree,
             "split": roots.split,
@@ -335,9 +335,9 @@ def cmd_scan(args, report: dict) -> int:
         point = _family_point(args.family, args.d, a, b, c)
         verdict = oracle_irreducible(point.module())
         if verdict.status == "indeterminate":
-            indeterminate.append([str(a), str(b), str(c)])
+            indeterminate.append((a, b, c))
         elif verdict.is_irreducible != criterion_verdict(point).is_irreducible:
-            disagreements.append([str(a), str(b), str(c)])
+            disagreements.append((a, b, c))
     report.update(family=args.family, d=args.d, grid_points=len(values) ** 3,
                   disagreements=disagreements, indeterminate=indeterminate)
     if disagreements:
@@ -368,7 +368,7 @@ def _report(args) -> int:
     if not args.no_timing:
         report["timing_s"] = f"{time.monotonic() - started:.3f}"
     report["exit"] = code
-    _write_output(json.dumps(report, indent=2) + "\n", args)
+    _write_output(json.dumps(report, indent=2, default=_rat_str) + "\n", args)
     return code
 
 

@@ -1,21 +1,23 @@
-"""Truncated Verma-type modules and the universal mapping property.
+"""Truncated Verma-type modules and the ladder map.
 
-The Verma-type module has an infinite ladder basis m_0, m_1, ... with the same
-bidiagonal closed forms as the finite families but a free rational parameter
-delta in place of d.  A truncation to n basis vectors cannot satisfy the
-defining relations everywhere: applying X to the last basis vector loses the
-m_n component, so the presentation relations are exact only on the interior
-columns 0 .. n-3.  That window is tracked explicitly and every consumer checks
-against it.
+The Verma-type module has an infinite ladder basis m_0, m_1, ... with the
+closed forms of ``SequenceTable`` and a free rational parameter delta.  A
+truncation to n basis vectors cannot satisfy the defining relations
+everywhere: applying X to the last basis vector loses the m_n component, so
+the presentation relations are exact only on the interior columns 0 .. n-3.
+That window is tracked explicitly and every consumer checks against it.
 
-The mapping property: if a vector v of a module V satisfies
+Both families are quotients of it: a family point is its own table (the even
+family at delta = d, the odd family at a reparametrized point) with
+phi_{d+1} = 0, so span{m_{d+1}, ...} is a submodule and the quotient is the
+(d+1)-dimensional family module.  The ladder map: if a vector v of a module V
+satisfies
     Y v = theta*_0 v,
     (Y - theta*_1)(X - theta_0) v = phi_1 v,
+    prod_{i<=d} (X - theta_i) v = 0,
 and kappa, lambda, mu act on V by the table's central scalars, then
-m_i |-> prod_{h<i} (X - theta_h) v extends to a module map.  With delta = d
-and the extra premise prod_{i<=d} (X - theta_i) v = 0 the map factors through
-the (d+1)-dimensional family module, giving an explicit intertwiner: the
-ladder map (the odd family's is the same walk with the odd table's shifts).
+v_i |-> prod_{h<i} (X - theta_h) v is a module map from the family module
+into V, an explicit intertwiner.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bimodule import BIModule, CertificateError, EvenParams, FamilyParams, SequenceTable, \
+from .bimodule import BIModule, CertificateError, FamilyParams, SequenceTable, \
     certify_intertwiner, check_relations, derive_Z, relation_residuals
 from .exactlinalg import Matrix, RatLike, Vector, rat, shifted_walk, vec
 
@@ -114,8 +116,6 @@ def ladder_vector(tv: TruncatedVerma, i: int, j: int) -> Vector:
 
 
 def _check_premises(t: SequenceTable, v_mod: BIModule, v: Vector) -> None:
-    if not any(v):
-        raise PremiseViolated("highest_weight", "seed vector is zero")
     th0, th, th1, phi1 = t.theta_star(0), t.theta(0), t.theta_star(1), t.phi_upper(1)
     if any(shifted_walk(v_mod.Y, v, [th0])[1]):
         raise PremiseViolated("highest_weight", f"Y v != {th0} v")
@@ -128,20 +128,6 @@ def _check_premises(t: SequenceTable, v_mod: BIModule, v: Vector) -> None:
         if not check.passed or check.scalar != expected[check.name]:
             raise PremiseViolated(check.name,
                                   f"acts by {check.scalar}, table requires {expected[check.name]}")
-
-
-def universal_map(delta: RatLike, a: RatLike, b: RatLike, c: RatLike,
-                  v_mod: BIModule, v, count: int) -> tuple[Vector, ...]:
-    """Images of the first `count` >= 1 ladder vectors under the universal map.
-
-    Checks the premises (raising PremiseViolated naming the first failure),
-    then returns (v, (X - theta_0) v, (X - theta_1)(X - theta_0) v, ...).
-    """
-    if count < 1:
-        raise ValueError(f"need count >= 1, got {count}")
-    t, v = SequenceTable(rat(delta), rat(a), rat(b), rat(c)), vec(v)
-    _check_premises(t, v_mod, v)
-    return shifted_walk(v_mod.X, v, [t.theta(i) for i in range(count - 1)])
 
 
 def ladder_map(params: FamilyParams, v_mod: BIModule, v) -> Matrix:
@@ -164,25 +150,25 @@ def ladder_map(params: FamilyParams, v_mod: BIModule, v) -> Matrix:
 
 @dataclass(frozen=True)
 class QuotientReport:
-    """Result of comparing the delta = d truncation with the even-family module."""
+    """Result of comparing the window at a family point's table with its module."""
 
     superdiagonal_vanishes: bool  # phi_{d+1} = 0, decoupling head from tail
     tail_invariant: bool          # X, Y keep span{m_{d+1}, ...} inside itself
-    head_matches: bool            # top-left blocks equal the even-family matrices
+    head_matches: bool            # top-left blocks equal the family module's matrices
 
     @property
     def ok(self) -> bool:
         return self.superdiagonal_vanishes and self.tail_invariant and self.head_matches
 
 
-def verma_quotient_check(params: EvenParams, n: int | None = None) -> QuotientReport:
-    """With delta = d, the tail span{m_{d+1}, ...} is a submodule of the
-    truncation window and the quotient is the even-family module on the nose."""
+def verma_quotient_check(params: FamilyParams, n: int | None = None) -> QuotientReport:
+    """In the window at the point's own table, the tail span{m_{d+1}, ...} is
+    a submodule and the quotient is the family module on the nose."""
     d = params.d
     n = d + 5 if n is None else n
     if n < d + 3:
         raise ValueError("need n >= d + 3 to see the tail")
-    tv = truncated_verma(d, params.a, params.b, params.c, n)
+    tv = truncated_verma(params.delta, params.a, params.b, params.c, n)
     sup_zero = tv.table.phi_upper(d + 1) == 0 and tv.Y[d, d + 1] == 0
     tail = all(
         not m[i, j]

@@ -63,7 +63,7 @@ def test_sequence_values_even():
 
 def test_sequence_values_odd():
     t = OddParams(4, "3/2", "1/2", "-1/2")
-    assert (t.delta, t.a, t.b, t.c) == (F(4), F(3, 2), F(1, 2), F(-1, 2))
+    assert (t.d, *t.coords) == (F(4), F(3, 2), F(1, 2), F(-1, 2))
     assert [t.theta(i) for i in range(5)] == [F(-1, 2), F(-1, 2), F(3, 2), F(-5, 2), F(7, 2)]
     assert [t.theta_star(i) for i in range(5)] == [F(-3, 2), F(1, 2), F(1, 2), F(-3, 2), F(5, 2)]
     assert [t.phi_upper(i) for i in range(1, 5)] == [F(4), F(-2), F(6), F(-12)]

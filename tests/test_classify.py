@@ -902,12 +902,12 @@ def test_conjugated_family_points_property(family_d, a, b, c, sign, seed):
     if even:
         named = EvenParams(d, *orbit_canonical(a, b, c))
         theta = sign.eps_prime * named.theta_star(0)
-        expected = ClassCoordinates("even", d, sign, (named.a, named.b, named.c))
+        expected = ClassCoordinates("even", d, sign, named.coords)
     else:
         e, ep = sign.eps, sign.eps_prime
         named = OddParams(d, e * a, ep * b, e * ep * c)
         theta = named.theta_star(0)
-        expected = ClassCoordinates("odd", d, None, (named.a, named.b, named.c))
+        expected = ClassCoordinates("odd", d, None, named.coords)
     line = len(kernel_basis(mod.Y - theta * Matrix.identity(n))) == 1
     dense = []
     real_spectrum = classify.rational_spectrum

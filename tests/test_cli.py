@@ -218,8 +218,15 @@ _ONE = {"dim": 1, "X": [["1"]], "Y": [["0"]], "kappa": "0"}
     (["check", "{path}"], b'{"dim": 1, "X": [["\xff"]]}', "cannot read {path}: "),
     (["check", "{path}"], _DEEP, "module file is not valid JSON: "),
     (["check", "{path}"], _HUGE, "module file is not valid JSON: "),
+    # a derived value past the digit limit for printing: mu = 4 * 10**6000 - 1
+    (["check", "{path}"], dict(_ONE, X=[["1" + "0" * 3000]], Y=[["1"]]),
+     "a derived rational has more than "),
+    # kappa = 1 - 10**-4402
+    (["build", "--family", "even", "--d", "1", "--a=0." + "0" * 2200 + "1", "--b", "0",
+      "--c", "0"], None, "a derived rational has more than "),
 ], ids=["build-twist", "scan-values", "check-missing", "check-entry", "check-meta",
-        "check-not-utf8", "check-too-deep", "check-too-many-digits"])
+        "check-not-utf8", "check-too-deep", "check-too-many-digits",
+        "check-derived-too-many-digits", "build-derived-too-many-digits"])
 def test_bad_input_exits_2(capsys, tmp_path, argv, doc, message):
     path = str(tmp_path / "m.json")
     if isinstance(doc, dict):
@@ -290,6 +297,18 @@ def test_classify_ignores_meta_of_another_dimension(capsys, tmp_path):
     assert doc["oracle"]["status"] == "irreducible"
     assert doc["class"]["params"] == ["1", "0", "1"]
     assert "criterion" not in doc and "methods_agree" not in doc
+
+
+def test_classify_ignores_meta_that_is_not_a_rational_argument(capsys, tmp_path):
+    # an exponent form is foreign like "x", rejected before Fraction expands
+    # its digits; so are an infinite a and an infinite d
+    path, reports = tmp_path / "e.json", []
+    for bad in ({"a": "x"}, {"a": "1e4000000"}, {"a": float("inf")}, {"d": float("inf")}):
+        meta = dict({"family": "even", "d": "3", "a": "1", "b": "0", "c": "1"}, **bad)
+        path.write_text(json.dumps(dict(json.loads(serialize_module(example_even())), meta=meta)))
+        reports.append(run_cli(capsys, "classify", str(path), "--no-timing"))
+    assert reports[0][0] == 0 and "criterion" not in json.loads(reports[0][1])
+    assert all(report == reports[0] for report in reports)
 
 
 def test_classify_zero_sum_is_reducible(capsys, tmp_path):

@@ -2,12 +2,14 @@
 layer imports another's private names, no library guarantee rests on an
 `assert` (stripped under `python -O`), no file that .gitignore excludes is
 tracked, every library name the benchmark traces still resolves, the
-benchmark's library workloads run one small round, and `__all__` lists
-exactly the public names the package binds."""
+benchmark's library workloads run one small round, `__all__` lists
+exactly the public names the package binds, and `SequenceTable` alone holds
+the ladder formulas."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import shutil
 import subprocess
 import sys
@@ -96,3 +98,15 @@ def test_package_all_matches_its_public_names():
     bound = {name for name, value in vars(bannai_ito).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(bannai_ito.__all__) == sorted(bound)
+
+
+def test_one_table_holds_the_ladder_formulas():
+    # both families build through SequenceTable's formulas; a second formula
+    # set in a subclass (or anywhere else) would split them again
+    formulas = {"theta", "theta_star", "phi_upper", "central_scalars", "ladder"}
+    modules = [importlib.import_module(f"bannai_ito.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__main__"]
+    owners = [f"{module.__name__}.{name}" for module in modules
+              for name, cls in inspect.getmembers(module, inspect.isclass)
+              if cls.__module__ == module.__name__ and formulas & set(vars(cls))]
+    assert owners == ["bannai_ito.bimodule.SequenceTable"]

@@ -1,4 +1,4 @@
-"""Tests for the truncated Verma-type module and the universal mapping property."""
+"""Tests for the truncated Verma-type module, its quotients and the ladder map."""
 
 from fractions import Fraction
 
@@ -15,9 +15,10 @@ from bannai_ito.universal import (
     ladder_map,
     ladder_vector,
     truncated_verma,
-    universal_map,
     verma_quotient_check,
 )
+
+from conftest import ODD_DIMS, grid_points
 
 F = Fraction
 
@@ -56,51 +57,6 @@ def test_ladder_vector_identity():
         ladder_vector(tv, 3, 2)
 
 
-def test_universal_map_images():
-    v_mod = even_module(1, 1, 1, 1)
-    images = universal_map(1, 1, 1, 1, v_mod, (1, 0), count=4)
-    assert images == ((F(1), F(0)), (F(0), F(1)), (F(0), F(0)), (F(0), F(0)))
-
-
-@pytest.mark.parametrize("count", [0, -1])
-def test_universal_map_rejects_empty_count(count):
-    with pytest.raises(ValueError, match="count >= 1"):
-        universal_map(1, 1, 1, 1, even_module(1, 1, 1, 1), (1, 0), count=count)
-
-
-def test_universal_map_premise_highest_weight():
-    v_mod = even_module(1, 1, 1, 1)
-    with pytest.raises(PremiseViolated) as exc:
-        universal_map(1, 1, 1, 1, v_mod, (0, 1), count=3)
-    assert exc.value.premise == "highest_weight"
-    with pytest.raises(PremiseViolated):
-        universal_map(1, 1, 1, 1, v_mod, (0, 0), count=3)
-
-
-def test_universal_map_premise_second_order():
-    # same (theta*, theta) data but a different phi_1: c changes it
-    v_mod = even_module(1, 1, 1, 0)
-    with pytest.raises(PremiseViolated) as exc:
-        universal_map(1, 1, 1, 1, v_mod, (1, 0), count=3)
-    assert exc.value.premise == "second_order"
-
-
-def test_universal_map_premise_central_scalars():
-    # 1-dimensional modules tuned so the first two premises pass while a
-    # central scalar disagrees with the table for (delta, a, b, c) = (1,1,1,1)
-    bad_kappa = odd_module(0, -1, "1/2", 5)
-    with pytest.raises(PremiseViolated) as exc:
-        universal_map(1, 1, 1, 1, bad_kappa, (1,), count=2)
-    assert exc.value.premise == "kappa"
-    bad_mu = odd_module(0, -1, "1/2", -1)
-    with pytest.raises(PremiseViolated) as exc:
-        universal_map(1, 1, 1, 1, bad_mu, (1,), count=2)
-    assert exc.value.premise == "mu"
-    # an unknown premise name is a caller error, also under python -O
-    with pytest.raises(ValueError, match="unknown premise 'lambda_'"):
-        PremiseViolated("lambda_")
-
-
 def test_descend_identity_on_ladder_head():
     v_mod = example_even()
     t = ladder_map(EvenParams(3, 1, 0, 1), v_mod, (1, 0, 0, 0))
@@ -125,9 +81,8 @@ def test_descend_annihilator_fails():
     assert check_relations(w).ok  # truncation is exact here because phi_3 = 0
     with pytest.raises(AnnihilatorFails):
         ladder_map(EvenParams(1, 0, 0, 2), w, (1, 0, 0))
-    # but the plain universal map is fine with it
-    images = universal_map(1, 0, 0, 2, w, (1, 0, 0), count=3)
-    assert images[2] == (F(0), F(0), F(1))
+    # W is the odd family module O_2(1/2, 1/2, -3/2), whose ladder map closes
+    assert ladder_map(OddParams(2, "1/2", "1/2", "-3/2"), w, (1, 0, 0)) == Matrix.identity(3)
 
 
 def test_quotient_check_fixed():
@@ -142,6 +97,17 @@ def test_quotient_check_fixed():
 @given(st.sampled_from([1, 3, 5]), rationals, rationals, rationals)
 def test_quotient_check_random(d, a, b, c):
     assert verma_quotient_check(EvenParams(d, a, b, c)).ok
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([0, 2, 4]), rationals, rationals, rationals)
+def test_quotient_check_random_odd(d, a, b, c):
+    assert verma_quotient_check(OddParams(d, a, b, c)).ok
+
+
+def test_quotient_check_odd_grid():
+    # the odd family is cut at the odd index d + 1 of its reparametrized table
+    assert all(verma_quotient_check(OddParams(*key)).ok for key in grid_points(ODD_DIMS))
 
 
 @settings(max_examples=20, deadline=None)
@@ -179,10 +145,16 @@ def test_ladder_map_wrong_seed_names_premise():
     with pytest.raises(PremiseViolated) as exc:
         ladder_map(EvenParams(1, 1, 1, 1), even_module(1, 1, 1, 0), (1, 0))
     assert exc.value.premise == "second_order"
-    # a 1-dimensional module whose kappa disagrees with the table
+    # 1-dimensional modules whose kappa, then mu, disagrees with the table
     with pytest.raises(PremiseViolated) as exc:
         ladder_map(EvenParams(1, 1, 1, 1), odd_module(0, -1, "1/2", 5), (1,))
     assert exc.value.premise == "kappa"
+    with pytest.raises(PremiseViolated) as exc:
+        ladder_map(EvenParams(1, 1, 1, 1), odd_module(0, -1, "1/2", -1), (1,))
+    assert exc.value.premise == "mu"
+    # an unknown premise name is a caller error, also under python -O
+    with pytest.raises(ValueError, match="unknown premise 'lambda_'"):
+        PremiseViolated("lambda_")
 
 
 def test_ladder_map_failure_with_premises_met_is_a_library_bug(monkeypatch):
