@@ -145,12 +145,19 @@ def test_ladder_map_wrong_seed_names_premise():
     with pytest.raises(PremiseViolated) as exc:
         ladder_map(EvenParams(1, 1, 1, 1), even_module(1, 1, 1, 0), (1, 0))
     assert exc.value.premise == "second_order"
-    # 1-dimensional modules whose kappa, then mu, disagrees with the table
+
+
+def test_universal_map_premise_central_scalars():
+    # the universal map out of the family module is ladder_map; 1-dimensional
+    # modules tuned so the first two premises pass while a central scalar
+    # disagrees with the table for (delta, a, b, c) = (1, 1, 1, 1)
+    bad_kappa = odd_module(0, -1, "1/2", 5)
     with pytest.raises(PremiseViolated) as exc:
-        ladder_map(EvenParams(1, 1, 1, 1), odd_module(0, -1, "1/2", 5), (1,))
+        ladder_map(EvenParams(1, 1, 1, 1), bad_kappa, (1,))
     assert exc.value.premise == "kappa"
+    bad_mu = odd_module(0, -1, "1/2", -1)
     with pytest.raises(PremiseViolated) as exc:
-        ladder_map(EvenParams(1, 1, 1, 1), odd_module(0, -1, "1/2", -1), (1,))
+        ladder_map(EvenParams(1, 1, 1, 1), bad_mu, (1,))
     assert exc.value.premise == "mu"
     # an unknown premise name is a caller error, also under python -O
     with pytest.raises(ValueError, match="unknown premise 'lambda_'"):
