@@ -52,7 +52,6 @@ from .classify import (
     IrrVerdict,
     NonSplitSpectrum,
     NotRationalFamily,
-    a_flip_basis_matrices,
     are_isomorphic,
     criterion_even,
     criterion_odd,
@@ -61,7 +60,6 @@ from .classify import (
     intertwiner_space,
     invariants,
     lowering_matrix,
-    odd_twist_check,
     oracle_irreducible,
     orbit_canonical,
     verify_invariant_subspace,
@@ -115,7 +113,6 @@ __all__ = [
     "Roots",
     "TruncatedVerma",
     "TwistSign",
-    "a_flip_basis_matrices",
     "anticommutator",
     "are_isomorphic",
     "central_scalars",
@@ -144,7 +141,6 @@ __all__ = [
     "min_poly",
     "minimal_polynomials",
     "odd_module",
-    "odd_twist_check",
     "oracle_irreducible",
     "orbit_canonical",
     "rat",

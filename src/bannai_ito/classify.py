@@ -22,7 +22,7 @@ conjugate needs no spectrum; then unit vectors) with their images in V + W^k.
 ``identify`` reads family coordinates (twist signs and the nonnegative
 parameter orbit representative for even dimension, exact parameters for
 odd) off the invariants and certifies them with the ladder map of the
-universal property, as do the a-flip basis and the odd twist check.
+universal property; it is the one route from a module to its class.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
-from .bimodule import ALL_TWISTS, BIModule, CertificateError, EvenParams, NotAModule, \
-    OddParams, SequenceTable, TwistSign, central_scalars, certify_intertwiner, odd_module, twist
+from .bimodule import BIModule, CertificateError, EvenParams, NotAModule, OddParams, \
+    SequenceTable, TwistSign, central_scalars, certify_intertwiner, twist
 from .exactlinalg import Matrix, RatLike, RrefAccumulator, Vector, \
-    kernel_basis, rat, rational_spectrum, shifted_walk, spin
+    as_text, kernel_basis, rat, rational_spectrum, shifted_walk, spin
 from .universal import AnnihilatorFails, PremiseViolated, ladder_map
 
 _F0 = Fraction(0)
@@ -157,7 +157,7 @@ def _norton(v_mod: BIModule, nmat: Matrix, v: Vector, label: str) -> IrrVerdict:
 
 
 def _shift(q: Fraction) -> str:
-    return f"({q})" if q < 0 else str(q)
+    return f"({as_text(q)})" if q < 0 else as_text(q)
 
 
 def _eigenspaces(v_mod: BIModule, name: str
@@ -297,25 +297,6 @@ def _lowering_operator(t: EvenParams, d: int) -> Matrix:
     # row i is r_0 (X - theta_d) ... (X - theta_{i+1}), a walk under X^T
     walk = shifted_walk(e.X.T, r0, [t.theta(i) for i in range(d, 0, -1)])
     return Matrix(walk[::-1])
-
-
-# --- basis change exhibiting the a-sign flip ------------------------------------
-
-class FlipBasis(NamedTuple):
-    X: Matrix
-    Y: Matrix
-    basis: Matrix  # columns are the reversed-ladder basis vectors
-
-
-def a_flip_basis_matrices(d: int, a: RatLike, b: RatLike, c: RatLike) -> FlipBasis:
-    """X and Y of the even-family module in the reversed-ladder basis
-    w_i = prod_{h<i} (X - theta_{d-h}) v_0, the ladder map from (-a, b, c)
-    (whose theta_h is theta_{d-h} here): the (-a, b, c) module on the nose,
-    X lower bidiagonal with the diagonal reversed, Y with the phis of (-a, b, c)."""
-    p = EvenParams(d, a, b, c)
-    flipped = EvenParams(d, -p.a, p.b, p.c)
-    basis = ladder_map(flipped, p.module(), Matrix.identity(d + 1).rows[0])
-    return FlipBasis(*flipped.ladder(d + 1), basis)
 
 
 # --- intertwiners and isomorphism -----------------------------------------------
@@ -515,30 +496,3 @@ def identify(v_mod: BIModule, *, assume_irreducible: bool = False) -> ClassCoord
     if _family_map(p, twist(v_mod, sign)) is None:
         raise IdentificationFailed(f"no invertible intertwiner to the {p.family} family")
     return ClassCoordinates(p.family, p.d, sign if p.family == "even" else None, p.coords)
-
-
-# --- odd-family twist collapse ----------------------------------------------------
-
-@dataclass(frozen=True)
-class OddTwistEntry:
-    sign: TwistSign
-    target: tuple[Fraction, Fraction, Fraction]
-    isomorphic: bool
-    intertwiner: Matrix | None
-
-
-def odd_twist_check(d: int, a: RatLike, b: RatLike, c: RatLike) -> tuple[OddTwistEntry, ...]:
-    """For an irreducible odd-family module V, the twist by (e, e') is again
-    in the family, at (e a, e' b, e e' c); returns the three checks with their
-    intertwiners twist(V) -> W: ladder maps V -> twist(W), nonzero out of an
-    irreducible V and so invertible."""
-    p = OddParams(d, a, b, c)
-    a, b, c = p.coords
-    if not criterion_odd(d, a, b, c):
-        raise ValueError("twist collapse requires an irreducible starting point")
-    out = []
-    for sign in ALL_TWISTS[1:]:
-        target = (sign.eps * a, sign.eps_prime * b, sign.eps * sign.eps_prime * c)
-        t = _family_map(p, twist(odd_module(d, *target), sign))
-        out.append(OddTwistEntry(sign, target, t is not None, t))
-    return tuple(out)

@@ -187,12 +187,12 @@ def _family_meta(family: str, d: int, a, b, c, sign: TwistSign) -> dict:
 
 def _criterion_from_meta(meta: dict, dim: int) -> bool | None:
     """Whether the criterion holds at a module file's meta coordinates, or
-    None if they are absent/foreign (including a d with d + 1 != dim)."""
+    None if they are absent/foreign (including a d that is no string or has d + 1 != dim)."""
     try:
-        family, d = _FAMILIES[meta["family"]], int(meta["d"])
-        if d + 1 != dim:
-            return None  # the coordinates of a module of another dimension
-        return criterion_verdict(family(d, *(_parse_rat_arg(meta[k], k) for k in "abc"))
+        family, d = _FAMILIES[meta["family"]], meta["d"]
+        if not isinstance(d, str) or int(d) + 1 != dim:
+            return None  # a JSON number, or the coordinates of a module of another dimension
+        return criterion_verdict(family(int(d), *(_parse_rat_arg(meta[k], k) for k in "abc"))
                                  ).is_irreducible
     except (CliError, KeyError, ValueError, TypeError, OverflowError):
         return None  # absent keys, foreign values (not a rational argument), or bad d

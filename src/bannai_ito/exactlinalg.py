@@ -38,6 +38,15 @@ def vec(entries: Iterable[RatLike]) -> Vector:
     return tuple(rat(x) for x in entries)
 
 
+def as_text(x: object) -> str:
+    """str(x) for a message, or a fixed placeholder when x holds an integer
+    with more digits than the interpreter converts to a string."""
+    try:
+        return str(x)
+    except ValueError:
+        return "<too many digits>"
+
+
 def _scaled(v: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """(s*v as ints, s), where s > 0 is the least scale that makes v integral."""
     try:

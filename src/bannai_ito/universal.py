@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .bimodule import BIModule, CertificateError, FamilyParams, SequenceTable, \
     certify_intertwiner, check_relations, derive_Z, relation_residuals
-from .exactlinalg import Matrix, RatLike, Vector, rat, shifted_walk, vec
+from .exactlinalg import Matrix, RatLike, Vector, as_text, rat, shifted_walk, vec
 
 PREMISES = ("highest_weight", "second_order", "kappa", "lambda", "mu")
 
@@ -118,16 +118,17 @@ def ladder_vector(tv: TruncatedVerma, i: int, j: int) -> Vector:
 def _check_premises(t: SequenceTable, v_mod: BIModule, v: Vector) -> None:
     th0, th, th1, phi1 = t.theta_star(0), t.theta(0), t.theta_star(1), t.phi_upper(1)
     if any(shifted_walk(v_mod.Y, v, [th0])[1]):
-        raise PremiseViolated("highest_weight", f"Y v != {th0} v")
+        raise PremiseViolated("highest_weight", f"Y v != {as_text(th0)} v")
     w = shifted_walk(v_mod.X, v, [th])[1]
     if shifted_walk(v_mod.Y, w, [th1])[1] != tuple(phi1 * c for c in v):
-        raise PremiseViolated("second_order", f"(Y - {th1})(X - {th}) v != {phi1} v")
+        raise PremiseViolated("second_order", "(Y - {})(X - {}) v != {} v".format(
+            *map(as_text, (th1, th, phi1))))
     report = check_relations(v_mod)
     expected = dict(zip(("kappa", "lambda", "mu"), t.central_scalars()))
     for check in report.checks:
         if not check.passed or check.scalar != expected[check.name]:
-            raise PremiseViolated(check.name,
-                                  f"acts by {check.scalar}, table requires {expected[check.name]}")
+            raise PremiseViolated(check.name, "acts by {}, table requires {}".format(
+                *map(as_text, (check.scalar, expected[check.name]))))
 
 
 def ladder_map(params: FamilyParams, v_mod: BIModule, v) -> Matrix:
@@ -140,7 +141,7 @@ def ladder_map(params: FamilyParams, v_mod: BIModule, v) -> Matrix:
     walk = shifted_walk(v_mod.X, v, [params.theta(i) for i in range(d + 1)])
     try:
         if any(walk[d + 1]):
-            raise AnnihilatorFails(f"prod (X - theta_i) v = {walk[d + 1]}, expected zero")
+            raise AnnihilatorFails(f"prod (X - theta_i) v = {as_text(walk[d + 1])}, expected zero")
         return certify_intertwiner(Matrix.from_columns(walk[:d + 1]), params.module(),
                                    v_mod, "ladder map")
     except (AnnihilatorFails, CertificateError):

@@ -1,6 +1,7 @@
 """Tests for irreducibility decisions, the lowering-matrix certificate,
 isomorphism testing and class identification."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -18,14 +19,16 @@ from bannai_ito.bimodule import ALL_TWISTS, BIModule, CertificateError, EvenPara
     NotAModule, OddParams, TwistSign, conjugate, direct_sum, even_module, example_even, \
     example_odd, odd_module, twist
 from bannai_ito.classify import ClassCoordinates, IdentificationFailed, \
-    IndeterminateIsomorphism, NonSplitSpectrum, NotRationalFamily, a_flip_basis_matrices, \
+    IndeterminateIsomorphism, NonSplitSpectrum, NotRationalFamily, \
     are_isomorphic, criterion_even, criterion_odd, criterion_verdict, identify, \
     intertwiner_space, invariants, \
-    lowering_matrix, odd_twist_check, oracle_irreducible, orbit_canonical, \
+    lowering_matrix, oracle_irreducible, orbit_canonical, \
     verify_invariant_subspace
 from bannai_ito.exactlinalg import Matrix, RrefAccumulator, kernel_basis, \
     rational_spectrum, rref, spin
 from bannai_ito.universal import PremiseViolated, ladder_map
+
+from conftest import EVEN_DIMS, ODD_DIMS, grid_points
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 
@@ -83,6 +86,13 @@ def test_oracle_finds_reducible_witness():
 
 def test_oracle_dimension_one():
     assert oracle_irreducible(odd_module(0, 2, -1, F(1, 2))).is_irreducible
+
+
+def test_oracle_labels_a_value_past_the_digit_limit():
+    # b = 10**4400 has more digits than str() converts: the label says so
+    verdict = oracle_irreducible(odd_module(2, 1, 10**4400, 0))
+    assert verdict.status == "irreducible"
+    assert verdict.detail == "two-sided spin of ker(Y - <too many digits>) is full"
 
 
 # the conjugating matrix of the 4 x 4 X-route examples below
@@ -363,23 +373,26 @@ def test_lowering_operator_work_is_linear(monkeypatch):
 
 # --- parameter sign flips ----------------------------------------------------
 
+def _a_flip_basis(d, a, b, c):
+    """The reversed-ladder basis w_i = prod_{h<i} (X - theta_{d-h}) v_0 of
+    E_d(a, b, c) as columns: the ladder map from E_d(-a, b, c)."""
+    return ladder_map(EvenParams(d, -a, b, c), even_module(d, a, b, c),
+                      Matrix.identity(d + 1).rows[0])
+
+
 def test_a_flip_basis_fixed():
-    flip = a_flip_basis_matrices(1, 1, 1, 1)
-    assert flip.basis == Matrix([[1, 2], [0, 1]])  # w_1 = 2 v_0 + v_1
-    assert flip.X == even_module(1, -1, 1, 1).X
-    assert flip.Y == even_module(1, -1, 1, 1).Y
+    assert _a_flip_basis(1, 1, 1, 1) == Matrix([[1, 2], [0, 1]])  # w_1 = 2 v_0 + v_1
 
 
-def test_a_flip_basis_shape():
-    for params in ((3, 1, 0, 1), (5, F(1, 2), F(3, 2), 2), (3, 0, 1, 1)):
-        flip = a_flip_basis_matrices(*params)
-        assert flip.basis.is_upper_triangular()
-        n = params[0] + 1
-        assert all(flip.basis[i, i] == 1 for i in range(n))
-        # the returned matrices are the flipped module's; check the change of
-        # basis independently of the library's own intertwiner certificate
-        e, inv = even_module(*params), flip.basis.inverse()
-        assert (inv * e.X * flip.basis, inv * e.Y * flip.basis) == (flip.X, flip.Y)
+@pytest.mark.parametrize("d", EVEN_DIMS)
+def test_a_flip_basis_on_grid(d):
+    # reducible points included; the change of basis onto the flipped
+    # module is checked independently of the library's own certificate
+    for _, a, b, c in grid_points((d,))[::4]:
+        basis = _a_flip_basis(d, a, b, c)
+        assert basis.is_upper_triangular() and all(basis[i, i] == 1 for i in range(d + 1))
+        e, inv = even_module(d, a, b, c), basis.inverse()
+        assert (inv * e.X * basis, inv * e.Y * basis) == EvenParams(d, -a, b, c).ladder(d + 1)
 
 
 # --- intertwiners ------------------------------------------------------------
@@ -807,8 +820,8 @@ def test_identify_failed_ladder_walk():
 
 
 def test_family_maps_make_no_hom_search(monkeypatch):
-    # identify, the a-flip basis and the odd twist collapse each come from
-    # one ladder map, never from the general intertwiner search
+    # identify, also on a twisted odd module, and the a-flip basis each come
+    # from one ladder map, never from the general intertwiner search
     def forbidden(*args, **kwargs):
         raise AssertionError("general Hom search called")
 
@@ -818,8 +831,8 @@ def test_family_maps_make_no_hom_search(monkeypatch):
     assert identify(twist(mod, TwistSign(-1, 1))) == ClassCoordinates(
         "even", 3, TwistSign(-1, 1), (F(1, 3), F(2, 7), F(5, 11)))
     assert identify(example_odd()).family == "odd"
-    assert a_flip_basis_matrices(3, 1, 0, 1).basis.is_upper_triangular()
-    assert all(entry.isomorphic for entry in odd_twist_check(4, F(3, 2), F(1, 2), F(-1, 2)))
+    assert _a_flip_basis(3, 1, 0, 1).is_upper_triangular()
+    assert identify(twist(example_odd(), TwistSign(-1, -1))).family == "odd"
 
 
 def test_orbit_canonical():
@@ -829,23 +842,22 @@ def test_orbit_canonical():
 
 # --- odd-family twist collapse -------------------------------------------------
 
-def test_odd_twist_check_example_parameters():
-    entries = odd_twist_check(4, F(3, 2), F(1, 2), F(-1, 2))
-    assert len(entries) == 3
-    signs = {e.sign for e in entries}
-    assert signs == {TwistSign(1, -1), TwistSign(-1, 1), TwistSign(-1, -1)}
-    for e in entries:
-        assert e.isomorphic
-        assert e.intertwiner is not None and e.intertwiner.rank() == 5
-    by_sign = {e.sign: e.target for e in entries}
-    assert by_sign[TwistSign(1, -1)] == (F(3, 2), F(-1, 2), F(1, 2))
-    assert by_sign[TwistSign(-1, 1)] == (F(-3, 2), F(1, 2), F(1, 2))
-    assert by_sign[TwistSign(-1, -1)] == (F(-3, 2), F(-1, 2), F(-1, 2))
+def test_identify_odd_twist_pinned_targets():
+    v = odd_module(4, F(3, 2), F(1, 2), F(-1, 2))
+    for sign, target in ((TwistSign(1, -1), (F(3, 2), F(-1, 2), F(1, 2))),
+                         (TwistSign(-1, 1), (F(-3, 2), F(1, 2), F(1, 2))),
+                         (TwistSign(-1, -1), (F(-3, 2), F(-1, 2), F(-1, 2)))):
+        assert identify(twist(v, sign)) == ClassCoordinates("odd", 4, None, target)
 
 
-def test_odd_twist_check_requires_irreducible():
-    with pytest.raises(ValueError):
-        odd_twist_check(2, 0, 0, F(-1, 2))
+@pytest.mark.parametrize("d", ODD_DIMS)
+def test_identify_collapses_odd_twists(d):
+    # the twist by (e, e') of an irreducible O_d(a, b, c) is O_d(e a, e' b, e e' c)
+    points = [key for key in grid_points((d,)) if criterion_odd(*key)][::3]
+    for (_, a, b, c), s in itertools.product(points, ALL_TWISTS[1:]):
+        target = (s.eps * a, s.eps_prime * b, s.eps * s.eps_prime * c)
+        assert identify(twist(odd_module(d, a, b, c), s), assume_irreducible=True) == \
+            ClassCoordinates("odd", d, None, target)
 
 
 # --- randomized round trips ----------------------------------------------------

@@ -311,6 +311,20 @@ def test_classify_ignores_meta_that_is_not_a_rational_argument(capsys, tmp_path)
     assert all(report == reports[0] for report in reports)
 
 
+def test_classify_ignores_meta_d_that_is_not_a_string(capsys, tmp_path):
+    # a JSON number or boolean d is foreign like "x", not truncated by int()
+    _, text, _ = run_cli(capsys, "build", "--family", "even", "--d", "1",
+                         "--a", "1", "--b", "1", "--c", "1")
+    path, reports = tmp_path / "e.json", []
+    for d in ("x", 1.9, True):
+        doc = json.loads(text)
+        doc["meta"]["d"] = d
+        path.write_text(json.dumps(doc))
+        reports.append(run_cli(capsys, "classify", str(path), "--no-timing"))
+    assert reports[0][0] == 0 and "criterion" not in json.loads(reports[0][1])
+    assert all(report == reports[0] for report in reports)
+
+
 def test_classify_zero_sum_is_reducible(capsys, tmp_path):
     # two copies of the trivial module: Y = 0 has one fat eigenspace, and the
     # first eigenvector spins to a line, a verified one-dimensional witness

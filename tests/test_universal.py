@@ -164,6 +164,13 @@ def test_universal_map_premise_central_scalars():
         PremiseViolated("lambda_")
 
 
+def test_ladder_map_premise_past_the_digit_limit():
+    # c = 10**4400 makes kappa too long for str(): the premise is still named
+    with pytest.raises(PremiseViolated) as exc:
+        ladder_map(EvenParams(1, 1, 1, 1), odd_module(0, -1, F(1, 2), 10**4400), (1,))
+    assert exc.value.premise == "kappa"
+
+
 def test_ladder_map_failure_with_premises_met_is_a_library_bug(monkeypatch):
     # every premise holds, so a map that does not intertwine is a bug
     real_module = EvenParams.module
