@@ -53,9 +53,9 @@ from .classify import (
     NonSplitSpectrum,
     NotRationalFamily,
     are_isomorphic,
+    criterion,
     criterion_even,
     criterion_odd,
-    criterion_verdict,
     identify,
     intertwiner_space,
     invariants,
@@ -120,9 +120,9 @@ __all__ = [
     "char_poly",
     "check_relations",
     "conjugate",
+    "criterion",
     "criterion_even",
     "criterion_odd",
-    "criterion_verdict",
     "derive_Z",
     "diagonalizability",
     "direct_sum",

@@ -2,9 +2,9 @@
 
 Two independent irreducibility routes are provided on purpose:
 
-* ``criterion_even`` / ``criterion_odd``: closed-form admissibility conditions
-  on the parameters (four parameter sums avoiding a finite set of half-integer
-  shifts);
+* ``criterion_even`` / ``criterion_odd`` / ``criterion``: one closed-form
+  admissibility rule for both families (``_admissible``: four parameter sums
+  avoiding a finite set of half-integer shifts);
 * ``oracle_irreducible``: spin tests on the matrices that never consult the
   criterion (a Norton test on a shift of Y, theta*_0 of the family point the
   invariants name first, or of X; MeatAxe spins of their eigenvectors; a
@@ -70,22 +70,29 @@ class IndeterminateIsomorphism(Exception):
 
 # --- irreducibility: criterion route ------------------------------------------
 
+def _admissible(d: int, a: Fraction, b: Fraction, c: Fraction) -> bool:
+    """The one admissibility rule of both families: a+b+c, a-b-c, -a+b-c and
+    -a-b+c avoid (d-1)/2 - i for every 0 <= i < d with i + d odd."""
+    forbidden = {Fraction(d - 1 - 2 * i, 2) for i in range(1 - d % 2, d, 2)}
+    plus, minus = b + c, b - c  # seven Fraction operations for the four sums
+    return all(s not in forbidden for s in (a + plus, a - plus, minus - a, -minus - a))
+
+
 def criterion_even(d: int, a: RatLike, b: RatLike, c: RatLike) -> bool:
-    """Admissibility of (a, b, c) for the even family: the four sums
-    a+b+c, -a+b+c, a-b+c, a+b-c must avoid (d-1)/2 - i for even i < d."""
-    a, b, c = EvenParams.checked(d, a, b, c)
-    forbidden = {Fraction(d - 1, 2) - i for i in range(0, d, 2)}
-    sums = (a + b + c, -a + b + c, a - b + c, a + b - c)
-    return all(s not in forbidden for s in sums)
+    """Even family (d odd): the paper's sums -a+b+c, a-b+c, a+b-c, negated (the
+    set (d-1)/2 - i, even i < d, is closed under negation), give ``_admissible``."""
+    return _admissible(d, *EvenParams.checked(d, a, b, c))
 
 
 def criterion_odd(d: int, a: RatLike, b: RatLike, c: RatLike) -> bool:
-    """Admissibility for the odd family: a+b+c, a-b-c, -a+b-c, -a-b+c must
-    avoid (d+1)/2 - i for even i with 2 <= i <= d (vacuous at d = 0)."""
-    a, b, c = OddParams.checked(d, a, b, c)
-    forbidden = {Fraction(d + 1, 2) - i for i in range(2, d + 1, 2)}
-    vals = (a + b + c, a - b - c, -a + b - c, -a - b + c)
-    return all(v not in forbidden for v in vals)
+    """Odd family (d even): the paper's set (d+1)/2 - i, even 2 <= i <= d, is
+    (d-1)/2 - j for odd j < d (empty at d = 0), so this is ``_admissible``."""
+    return _admissible(d, *OddParams.checked(d, a, b, c))
+
+
+def criterion(params: EvenParams | OddParams) -> bool:
+    """Whether the criterion holds at a family point, either family."""
+    return _admissible(params.d, *params.coords)
 
 
 # --- irreducibility: matrix oracle route ----------------------------------------
@@ -94,7 +101,6 @@ def criterion_odd(d: int, a: RatLike, b: RatLike, c: RatLike) -> bool:
 class IrrVerdict:
     status: str  # "irreducible" | "reducible" | "indeterminate"
     witness: tuple[Vector, ...] | None  # basis of a proper invariant subspace
-    method: str  # "criterion" | "oracle"
     detail: str = ""
 
     @property
@@ -104,12 +110,6 @@ class IrrVerdict:
     @property
     def is_reducible(self) -> bool:
         return self.status == "reducible"
-
-
-def criterion_verdict(params: EvenParams | OddParams) -> IrrVerdict:
-    criterion = criterion_even if params.family == "even" else criterion_odd
-    ok = criterion(params.d, *params.coords)
-    return IrrVerdict("irreducible" if ok else "reducible", None, "criterion")
 
 
 def verify_invariant_subspace(v_mod: BIModule, basis: tuple[Vector, ...]) -> bool:
@@ -128,7 +128,7 @@ def verify_invariant_subspace(v_mod: BIModule, basis: tuple[Vector, ...]) -> boo
 def _reducible(v_mod: BIModule, witness: tuple[Vector, ...], what: str, detail: str) -> IrrVerdict:
     if not verify_invariant_subspace(v_mod, witness):
         raise CertificateError(f"{what} is not a submodule")
-    return IrrVerdict("reducible", witness, "oracle", detail)
+    return IrrVerdict("reducible", witness, detail)
 
 
 def _norton(v_mod: BIModule, nmat: Matrix, v: Vector, label: str) -> IrrVerdict:
@@ -152,8 +152,7 @@ def _norton(v_mod: BIModule, nmat: Matrix, v: Vector, label: str) -> IrrVerdict:
                           f"dual-spin annihilator for the kernel of {label}",
                           f"dual kernel of {label} generates a proper submodule; "
                           "its annihilator is the witness")
-    return IrrVerdict("irreducible", None, "oracle",
-                      f"two-sided spin of ker({label}) is full")
+    return IrrVerdict("irreducible", None, f"two-sided spin of ker({label}) is full")
 
 
 def _shift(q: Fraction) -> str:
@@ -207,7 +206,7 @@ def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
     """
     n = v_mod.dim
     if n == 1:
-        return IrrVerdict("irreducible", None, "oracle", "dimension 1")
+        return IrrVerdict("irreducible", None, "dimension 1")
     fat = {}
     for name, fmt in (("Y", "Y - {}"), ("X", "(X - {})")):
         fat[name] = []
@@ -228,9 +227,8 @@ def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
         kernel = kernel_basis(nmat)
         if len(kernel) == 1:
             return _norton(v_mod, nmat, kernel[0], f"({ylab}) + {t}*{xlab}")
-    return IrrVerdict("indeterminate", None, "oracle",
-                      "no shift of X or Y and no combination has nullity 1, "
-                      "and every eigenvector spin is full")
+    return IrrVerdict("indeterminate", None, "no shift of X or Y and no combination has "
+                      "nullity 1, and every eigenvector spin is full")
 
 
 # --- the lowering matrix certificate -------------------------------------------
@@ -491,7 +489,7 @@ def identify(v_mod: BIModule, *, assume_irreducible: bool = False) -> ClassCoord
                    else IdentificationFailed)
             raise exc(f"module is not irreducible ({verdict.status})")
     p, sign = _named_point(invariants(v_mod), v_mod.dim)
-    if not criterion_verdict(p).is_irreducible:
+    if not criterion(p):
         raise IdentificationFailed(f"the invariants name a reducible {p.family} point")
     if _family_map(p, twist(v_mod, sign)) is None:
         raise IdentificationFailed(f"no invertible intertwiner to the {p.family} family")

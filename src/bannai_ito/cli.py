@@ -24,7 +24,7 @@ from .bimodule import BIModule, EvenParams, FamilyParams, NotAModule, OddParams,
     TwistSign, check_relations, example_even, example_odd, twist
 from .classify import IdentificationFailed, IndeterminateIrreducibility, \
     IndeterminateIsomorphism, NonSplitSpectrum, NotRationalFamily, are_isomorphic, \
-    criterion_verdict, identify, invariants, oracle_irreducible
+    criterion, identify, invariants, oracle_irreducible
 from .exactlinalg import Matrix, Roots, is_squarefree, min_poly, rational_roots
 
 EXIT_OK = 0
@@ -187,13 +187,12 @@ def _family_meta(family: str, d: int, a, b, c, sign: TwistSign) -> dict:
 
 def _criterion_from_meta(meta: dict, dim: int) -> bool | None:
     """Whether the criterion holds at a module file's meta coordinates, or
-    None if they are absent/foreign (including a d that is no string or has d + 1 != dim)."""
+    None if they are absent/foreign (including a d that is not whole or has d + 1 != dim)."""
     try:
-        family, d = _FAMILIES[meta["family"]], meta["d"]
-        if not isinstance(d, str) or int(d) + 1 != dim:
-            return None  # a JSON number, or the coordinates of a module of another dimension
-        return criterion_verdict(family(int(d), *(_parse_rat_arg(meta[k], k) for k in "abc"))
-                                 ).is_irreducible
+        family, d = _FAMILIES[meta["family"]], _parse_rat_arg(meta["d"], "d")
+        if d.denominator != 1 or d + 1 != dim:
+            return None  # not whole, or the coordinates of a module of another dimension
+        return criterion(family(int(d), *(_parse_rat_arg(meta[k], k) for k in "abc")))
     except (CliError, KeyError, ValueError, TypeError, OverflowError):
         return None  # absent keys, foreign values (not a rational argument), or bad d
 
@@ -209,7 +208,7 @@ def _relations_fragment(mod: BIModule) -> tuple[list[dict], bool]:
 
 
 def _verdict_fragment(verdict) -> dict:
-    return {"status": verdict.status, "method": verdict.method, "detail": verdict.detail,
+    return {"status": verdict.status, "method": "oracle", "detail": verdict.detail,
             "witness": verdict.witness}
 
 
@@ -336,7 +335,7 @@ def cmd_scan(args, report: dict) -> int:
         verdict = oracle_irreducible(point.module())
         if verdict.status == "indeterminate":
             indeterminate.append((a, b, c))
-        elif verdict.is_irreducible != criterion_verdict(point).is_irreducible:
+        elif verdict.is_irreducible != criterion(point):
             disagreements.append((a, b, c))
     report.update(family=args.family, d=args.d, grid_points=len(values) ** 3,
                   disagreements=disagreements, indeterminate=indeterminate)

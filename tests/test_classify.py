@@ -20,7 +20,7 @@ from bannai_ito.bimodule import ALL_TWISTS, BIModule, CertificateError, EvenPara
     example_odd, odd_module, twist
 from bannai_ito.classify import ClassCoordinates, IdentificationFailed, \
     IndeterminateIsomorphism, NonSplitSpectrum, NotRationalFamily, \
-    are_isomorphic, criterion_even, criterion_odd, criterion_verdict, identify, \
+    are_isomorphic, criterion, criterion_even, criterion_odd, identify, \
     intertwiner_space, invariants, \
     lowering_matrix, oracle_irreducible, orbit_canonical, \
     verify_invariant_subspace
@@ -60,11 +60,8 @@ def test_criterion_rejects_bad_parity():
 
 
 def test_criterion_verdict_wraps_both_families():
-    from bannai_ito.bimodule import EvenParams, OddParams
-    v1 = criterion_verdict(EvenParams(3, F(1), F(0), F(1)))
-    assert v1.is_irreducible and v1.method == "criterion" and v1.witness is None
-    v2 = criterion_verdict(OddParams(2, F(0), F(0), F(-1, 2)))
-    assert v2.is_reducible
+    assert criterion(EvenParams(3, F(1), F(0), F(1)))
+    assert not criterion(OddParams(2, F(0), F(0), F(-1, 2)))
 
 
 # --- matrix oracle -----------------------------------------------------------
@@ -73,7 +70,6 @@ def test_oracle_on_the_examples():
     for mod in (example_even(), example_odd()):
         verdict = oracle_irreducible(mod)
         assert verdict.is_irreducible
-        assert verdict.method == "oracle"
 
 
 def test_oracle_finds_reducible_witness():
@@ -296,6 +292,21 @@ def test_criterion_matches_oracle_sample():
                     expected = criterion_odd(d, a, b, c)
                     verdict = oracle_irreducible(odd_module(d, a, b, c))
                     assert verdict.is_irreducible == expected, (d, a, b, c)
+
+
+quarter = st.integers(min_value=-12, max_value=12).map(lambda k: F(k, 4))
+
+
+@given(d=st.integers(min_value=0, max_value=9), a=quarter, b=quarter, c=quarter)
+@settings(max_examples=300, deadline=None)
+def test_one_rule_matches_oracle_beyond_the_grid(d, a, b, c):
+    # quarter-integers put points on the walls (d-1)/2 - i as well as off
+    # them, in dimensions past the acceptance grid's d <= 5
+    p = (OddParams if d % 2 == 0 else EvenParams)(d, a, b, c)
+    holds = (criterion_odd if d % 2 == 0 else criterion_even)(d, a, b, c)
+    verdict = oracle_irreducible(p.module())
+    assert verdict.status != "indeterminate", (d, a, b, c)
+    assert verdict.is_irreducible == holds == criterion(p), (d, a, b, c)
 
 
 # --- lowering matrix ---------------------------------------------------------

@@ -325,6 +325,21 @@ def test_classify_ignores_meta_d_that_is_not_a_string(capsys, tmp_path):
     assert all(report == reports[0] for report in reports)
 
 
+def test_classify_ignores_meta_d_with_underscores(capsys, tmp_path):
+    # d follows the rational-argument rule of a, b and c: int() would read
+    # "0_3" as 3, but it is foreign like "x", while "3/1" and "3.0" count
+    _, text, _ = run_cli(capsys, "fixture", "exampleE")
+    path, reports = tmp_path / "e.json", {}
+    for d in ("x", "0_3", "3", "3/1", "3.0"):
+        doc = json.loads(text)
+        doc["meta"]["d"] = d
+        path.write_text(json.dumps(doc))
+        reports[d] = run_cli(capsys, "classify", str(path), "--no-timing")
+    assert reports["0_3"] == reports["x"] and "criterion" not in json.loads(reports["x"][1])
+    assert reports["3/1"] == reports["3.0"] == reports["3"]
+    assert json.loads(reports["3"][1])["methods_agree"] is True
+
+
 def test_classify_zero_sum_is_reducible(capsys, tmp_path):
     # two copies of the trivial module: Y = 0 has one fat eigenspace, and the
     # first eigenvector spins to a line, a verified one-dimensional witness
@@ -341,7 +356,7 @@ def test_classify_zero_sum_is_reducible(capsys, tmp_path):
 
 def test_classify_indeterminate_exit_code(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "oracle_irreducible", lambda mod: IrrVerdict(
-        "indeterminate", None, "oracle", "no nullity-1 element within the word budget"))
+        "indeterminate", None, "no nullity-1 element within the word budget"))
     path = tmp_path / "e.json"
     path.write_text(serialize_module(example_even()))
     code, out, _ = run_cli(capsys, "classify", str(path), "--no-timing")
@@ -409,7 +424,7 @@ def test_identify_zero_sum_is_reducible(capsys, tmp_path):
 
 def test_identify_indeterminate_exit_code(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(classify, "oracle_irreducible", lambda mod: IrrVerdict(
-        "indeterminate", None, "oracle", "no nullity-1 element within the word budget"))
+        "indeterminate", None, "no nullity-1 element within the word budget"))
     path = tmp_path / "e.json"
     path.write_text(serialize_module(example_even()))
     code, out, _ = run_cli(capsys, "identify", str(path), "--no-timing")
