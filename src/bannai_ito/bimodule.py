@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import ClassVar
 
 from .exactlinalg import Matrix, Poly, RatLike, anticommutator, \
-    is_squarefree, min_poly, rat, rational_roots
+    is_squarefree, min_poly, products_equal, rat, rational_roots
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -121,8 +121,12 @@ class FamilyParams(SequenceTable):
     def module(self) -> "BIModule":
         """The (d+1)-dimensional module: X v_i = theta_i v_i + v_{i+1}
         (v_{d+1} = 0), Y v_i = theta*_i v_i + phi_i v_{i-1}, and kappa,
-        lambda, mu act by the three central scalars of the table."""
-        return BIModule(*self.ladder(self.d + 1), *self.central_scalars())
+        lambda, mu act by the three central scalars of the table.  Built
+        once per point and kept: the point and the module are immutable."""
+        if "_module" not in self.__dict__:
+            object.__setattr__(self, "_module", BIModule(*self.ladder(self.d + 1),
+                                                         *self.central_scalars()))
+        return self._module
 
 
 class EvenParams(FamilyParams):
@@ -219,8 +223,9 @@ def derive_Z(x: Matrix, y: Matrix, kappa: RatLike) -> Matrix:
 
 def certify_intertwiner(t: Matrix, v: BIModule, w: BIModule, what: str) -> Matrix:
     """Return t after checking T X_V = X_W T and T Y_V = Y_W T (a module map
-    V -> W); CertificateError naming `what` if either equation fails."""
-    if t * v.X != w.X * t or t * v.Y != w.Y * t:
+    V -> W); CertificateError naming `what` if either equation fails.  The
+    check is exact and runs over integer rows: neither side is built."""
+    if not (products_equal(t, v.X, w.X, t) and products_equal(t, v.Y, w.Y, t)):
         raise CertificateError(f"{what} fails to intertwine (library bug)")
     return t
 

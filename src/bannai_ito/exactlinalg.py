@@ -2,13 +2,15 @@
 
 Everything in this module is deterministic and exact: entries are
 ``fractions.Fraction`` and no floating point is ever involved.  Matrices are
-immutable and dense, but products, ``matvec`` and ``spin`` run over a cached
-integer view of the rows (denominators cleared once per row, zeros dropped),
-so the family matrices cost only their nonzeros and each output entry is
-built as a ``Fraction`` once.  One Gauss-Jordan engine, ``RrefAccumulator``,
-does every row elimination (rref, rank, kernel, inverse, det, spin, Krylov
-annihilators); it eliminates fraction-free over integer rows and hands back
-``Fraction`` rows at its boundary.
+immutable and dense, but products, ``matvec``, ``spin``, the ladder walk
+``shifted_walk`` and the certificate comparison ``products_equal`` run over a
+cached integer view of the rows (denominators cleared once per row, zeros
+dropped), so the family matrices cost only their nonzeros and each output
+entry is built as a ``Fraction`` once, or not at all where only equality is
+asked.  One Gauss-Jordan engine, ``RrefAccumulator``, does every row
+elimination (rref, rank, kernel, inverse, det, spin, Krylov annihilators); it
+eliminates fraction-free over integer rows and hands back ``Fraction`` rows
+at its boundary.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ def as_text(x: object) -> str:
 
 def _scaled(v: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """(s*v as ints, s), where s > 0 is the least scale that makes v integral."""
+    if all(type(x) is int for x in v):
+        return list(v), 1  # ints pass through, at a quarter of the cost
     try:
         s = math.lcm(*(x.denominator for x in v))
     except AttributeError:
@@ -60,10 +64,10 @@ def _scaled(v: Sequence[Fraction | int]) -> tuple[list[int], int]:
 class Matrix:
     """Immutable dense matrix over Fraction, stored row-major.
 
-    Products, ``matvec`` and ``spin`` read ``_ints``: for each row, the least
-    scale s > 0 that makes it integral and the (column, s*value) pairs of its
-    nonzero entries.  It is built on first use and cached, and it is not part
-    of ``==`` or ``hash``.
+    Products, ``matvec``, spins and walks read ``_ints``: for each row, the
+    least scale s > 0 that makes it integral and the (column, s*value) pairs
+    of its nonzero entries.  It is built on first use and cached, and it is
+    not part of ``==`` or ``hash``.
     """
 
     __slots__ = ("rows", "_ints")
@@ -168,22 +172,28 @@ class Matrix:
             object.__setattr__(self, "_ints", ints)
             return ints
 
+    def _int_product(self, other: "Matrix") -> list[tuple[int, list[int]]]:
+        """The rows of self * other over the integers: (s, ints) per row, the
+        row being ints / s."""
+        if self.ncols != other.nrows:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        right, out = other._int_rows(), []
+        for s, row in self._int_rows():
+            # row i of the product is (1/(s*t)) sum_j a'_ij (t/t_j) b'_j
+            t = math.lcm(*(right[j][0] for j, _ in row))
+            acc = [0] * other.ncols
+            for j, a in row:
+                tj, right_row = right[j]
+                a *= t // tj
+                for k, b in right_row:
+                    acc[k] += a * b
+            out.append((s * t, acc))
+        return out
+
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-            right, out = other._int_rows(), []
-            for s, row in self._int_rows():
-                # row i of the product is (1/(s*t)) sum_j a'_ij (t/t_j) b'_j
-                t = math.lcm(*(right[j][0] for j, _ in row))
-                acc = [0] * other.ncols
-                for j, a in row:
-                    tj, right_row = right[j]
-                    a *= t // tj
-                    for k, b in right_row:
-                        acc[k] += a * b
-                out.append(tuple(Fraction(x, s * t) if x else _F0 for x in acc))
-            return Matrix._new(tuple(out))
+            return Matrix._new(tuple(tuple(Fraction(x, s) if x else _F0 for x in acc)
+                                     for s, acc in self._int_product(other)))
         s = rat(other)
         return Matrix._new(tuple(tuple(s * a if a else a for a in r) for r in self.rows))
 
@@ -259,13 +269,43 @@ def anticommutator(a: Matrix, b: Matrix) -> Matrix:
     return a * b + b * a
 
 
+def products_equal(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:
+    """a * b == c * d, compared row by row over integers (the scales
+    cross-multiplied), without building either product as Fractions."""
+    left, right = a._int_product(b), c._int_product(d)
+    return (a.nrows, b.ncols) == (c.nrows, d.ncols) and all(
+        [x * t for x in u] == [y * s for y in w] for (s, u), (t, w) in zip(left, right))
+
+
+def _int_operator(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(s, rows): the least s > 0 that makes m integral, and the (column,
+    value) pairs of the nonzeros of each row of s*m."""
+    ints = m._int_rows()
+    s = math.lcm(*(t for t, _ in ints))
+    return s, [[(j, s // t * a) for j, a in row] for t, row in ints]
+
+
 def shifted_walk(m: Matrix, v: Sequence[Fraction],
                  shifts: Iterable[Fraction]) -> tuple[Vector, ...]:
-    """(v, (m - s_0) v, (m - s_1)(m - s_0) v, ...): one more vector per shift."""
-    walk = [tuple(v)]
+    """(v, (m - s_0) v, (m - s_1)(m - s_0) v, ...): one more vector per shift.
+    The walk runs over ints: m is scaled to integers once, the vector is
+    carried as (ints, scale) with its content divided out at each step, and
+    each output entry is built as a Fraction once."""
+    walk, shifts = [tuple(v)], [rat(s) for s in shifts]
+    if not shifts:
+        return tuple(walk)
+    if len(v) != m.ncols:
+        raise ValueError("vector length mismatch")
+    scale, op = _int_operator(m)
+    u, t = _scaled(v)
     for s in shifts:
-        w = walk[-1]
-        walk.append(tuple(p - s * q for p, q in zip(m.matvec(w), w)))
+        # (m - p/q)(u/t) = (q M u - p scale u) / (q scale t), M = scale m
+        p, q = s.numerator * scale, s.denominator
+        u = [q * sum(a * u[j] for j, a in row) - p * x for row, x in zip(op, u)]
+        t *= q * scale
+        g = math.gcd(t, *u)
+        u, t = [x // g for x in u], t // g
+        walk.append(tuple(Fraction(x, t) if x else _F0 for x in u))
     return tuple(walk)
 
 
@@ -388,10 +428,7 @@ def spin(vectors: Sequence[Sequence[RatLike]], operators: Sequence[Matrix]) -> t
     ncols = operators[0].ncols
     if any(op.shape != (ncols, ncols) for op in operators):
         raise ValueError("operators must be square and of one size")
-    int_ops = []
-    for ints in (op._int_rows() for op in operators):
-        lcm = math.lcm(*(s for s, _ in ints))
-        int_ops.append([[(j, lcm // s * a) for j, a in row] for s, row in ints])
+    int_ops = [_int_operator(op)[1] for op in operators]
     acc = RrefAccumulator(ncols)
     queue = deque(u for u, _ in map(_scaled, map(vec, vectors)) if acc.add(u))
     while queue and len(acc) < ncols:
@@ -400,7 +437,8 @@ def spin(vectors: Sequence[Sequence[RatLike]], operators: Sequence[Matrix]) -> t
             w = [sum(a * u[j] for j, a in row) for row in op]
             if acc.add(w):
                 queue.append(w)
-    return acc.rows
+    # a spin that reaches the whole space has the identity as its rref
+    return Matrix.identity(ncols).rows if len(acc) == ncols else acc.rows
 
 
 class Poly:

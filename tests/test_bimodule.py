@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bannai_ito.bimodule import (
     ALL_TWISTS,
     BIModule,
+    CertificateError,
     EvenParams,
     NotAModule,
     OddParams,
@@ -27,7 +28,7 @@ from bannai_ito.bimodule import (
     odd_module,
     twist,
 )
-from bannai_ito.classify import are_isomorphic
+from bannai_ito.classify import are_isomorphic, identify
 from bannai_ito.exactlinalg import Matrix, Poly, anticommutator
 
 F = Fraction
@@ -100,6 +101,35 @@ def test_params_value_semantics():
     p = EvenParams(3, 1, 0, 1)
     assert p == EvenParams(3, "1", 0, F(1)) and hash(p) == hash(EvenParams(3, "1", 0, F(1)))
     assert p.d == 3 and type(p.d) is int and p.delta == F(3)
+
+
+def test_certify_intertwiner_checks_both_equations():
+    v, eye = even_module(3, 1, 0, 1), Matrix.identity(4)
+    assert certify_intertwiner(eye, v, v, "I") is eye
+    # the identity fails on the X equation, then on the Y equation alone
+    for sign in (TwistSign(-1, 1), TwistSign(1, -1)):
+        with pytest.raises(CertificateError, match=r"^I fails to intertwine \(library bug\)$"):
+            certify_intertwiner(eye, v, twist(v, sign), "I")
+    with pytest.raises(ValueError, match=r"^shape mismatch \(3, 3\) vs \(4, 4\)$"):
+        certify_intertwiner(Matrix.identity(3), v, v, "I")
+
+
+def test_family_module_is_built_once_per_point(monkeypatch):
+    # a point keeps its module: identify compares the input with it and the
+    # ladder map certifies against it, from one build of the ladder
+    p = EvenParams(3, 1, 0, 1)
+    assert p.module() is p.module() and p == EvenParams(3, 1, 0, 1)
+    assert p.module().same_matrices(EvenParams(3, 1, 0, 1).module())
+    v = twist(even_module(3, F(1, 3), F(2, 7), F(5, 11)), TwistSign(-1, 1))
+    built, real_ladder = [], SequenceTable.ladder
+
+    def counting_ladder(self, n):
+        built.append(n)
+        return real_ladder(self, n)
+
+    monkeypatch.setattr(SequenceTable, "ladder", counting_ladder)
+    identify(v, assume_irreducible=True)
+    assert built == [4]
 
 
 def test_even_module_matches_pinned_example():

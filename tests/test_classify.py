@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bannai_ito import classify
+from bannai_ito import classify, universal
 from bannai_ito.bimodule import ALL_TWISTS, BIModule, CertificateError, EvenParams, \
     NotAModule, OddParams, TwistSign, conjugate, direct_sum, even_module, example_even, \
     example_odd, odd_module, twist
@@ -667,6 +667,37 @@ def test_intertwiner_work_is_bounded(monkeypatch):
     eliminated = len(calls)
     assert ok and t.rank() == 16
     assert eliminated <= 200
+
+
+def test_certificates_build_no_products(monkeypatch):
+    # certify_intertwiner compares T X_V with X_W T row by row over integers,
+    # so neither the ladder map nor the isomorphism certificate builds a
+    # Fraction product (four n x n products each at the parent of this check)
+    real_certify, real_mul = classify.certify_intertwiner, Matrix.__mul__
+    certified, inside, products = [], [], []
+
+    def watched(t, v, w, what):
+        certified.append(what)
+        inside.append(what)
+        try:
+            return real_certify(t, v, w, what)
+        finally:
+            inside.pop()
+
+    def counting_mul(self, other):
+        if inside:
+            products.append(other)
+        return real_mul(self, other)
+
+    a, b, c = F(1, 3), F(2, 7), F(5, 11)
+    v, flip = even_module(31, a, b, c), even_module(31, -a, b, c)
+    for module in (classify, universal):
+        monkeypatch.setattr(module, "certify_intertwiner", watched)
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    t = ladder_map(EvenParams(31, -a, b, c), v, Matrix.identity(32).rows[0])
+    ok, s = are_isomorphic(v, flip)
+    assert ok and t.rank() == s.rank() == 32
+    assert certified == ["ladder map", "intertwiner-space element"] and products == []
 
 
 def test_certificates_checked_under_python_O():

@@ -22,6 +22,7 @@ from bannai_ito.exactlinalg import (
     is_squarefree,
     kernel_basis,
     min_poly,
+    products_equal,
     rat,
     rational_roots,
     rational_spectrum,
@@ -630,6 +631,70 @@ def test_sums_and_scaling_match_dense(case):
     for got, want in cases:
         assert got.rows == tuple(tuple(r) for r in want)
         assert _all_fractions(got.rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_operands(), mixed_heights, st.data())
+def test_products_equal_matches_fraction_products(case, k, data):
+    a, b, _ = case
+    ab, eye = a * b, Matrix.identity(b.ncols)
+    equal = [(a, b), (ab, eye), (Matrix.identity(a.nrows), ab)]
+    if k:
+        equal.append((k * a, (1 / k) * b))  # other row scales, the same product
+    i = data.draw(st.integers(min_value=0, max_value=ab.nrows - 1))
+    j = data.draw(st.integers(min_value=0, max_value=ab.ncols - 1))
+    bump = data.draw(mixed_heights.filter(bool))
+    rows = [list(r) for r in ab.rows]
+    rows[i][j] += bump
+    for (c, d), want in [(pair, True) for pair in equal] + [((Matrix(rows), eye), False)]:
+        assert (a * b == c * d) is want
+        assert products_equal(a, b, c, d) is want and products_equal(c, d, a, b) is want
+
+
+def test_products_equal_shapes():
+    # a factor mismatch raises as a * b does; products of two shapes differ
+    with pytest.raises(ValueError, match=r"^shape mismatch \(2, 2\) vs \(1, 2\)$"):
+        products_equal(Matrix.identity(2), _ROW, Matrix.identity(2), Matrix.identity(2))
+    with pytest.raises(ValueError, match=r"^shape mismatch \(2, 2\) vs \(1, 2\)$"):
+        products_equal(Matrix.identity(2), Matrix.identity(2), Matrix.identity(2), _ROW)
+    assert not products_equal(_ROW, Matrix.identity(2), Matrix.identity(2), Matrix.identity(2))
+    assert not products_equal(_ROW.T, _ROW, _ROW, _ROW.T)
+
+
+@pytest.mark.parametrize("m, v, shifts", [
+    (X4, (1, 0, 0, 0), [F(1, 2), 1, -2, 3]),
+    (X4, (F(1, 2), 0, 3, 0), []),
+    (Y4, (F(1, 3), 2, 0, -1), [0, 0, 0]),
+    (Y4, (0, 0, 0, 0), [F(1, 3), 2]),
+    (Matrix([[F(2, 3)]]), (F(5, 7),), [F(1, 2), F(2, 3), 4]),
+    (Matrix([[0]]), (3,), [0]),
+], ids=["int_shifts", "no_shifts", "zero_shifts", "zero_vector", "1x1", "1x1_zero"])
+def test_shifted_walk_cases(m, v, shifts):
+    walk = shifted_walk(m, v, shifts)
+    assert len(walk) == len(shifts) + 1 and walk[0] == tuple(v)
+    for k, w in enumerate(walk):
+        assert w == Poly.from_roots(shifts[:k]).at_matrix(m).matvec(v)
+    assert _all_fractions(walk[1:])
+
+
+def test_spin_of_a_generating_set_is_the_identity():
+    # X4 lowers e_0 through every ladder line: the rref of the whole space
+    for seeds, ops in [([(1, 0, 0, 0)], [X4, Y4]), (Matrix.identity(4).rows, [Y4]),
+                       ([(F(1, 2), F(-3, 7), 0, 5)], [X4])]:
+        basis = spin(seeds, ops)
+        assert basis == Matrix.identity(4).rows and _all_fractions(basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spin_cases())
+def test_spin_rows_are_the_rref_of_the_span(case):
+    seeds, operators = case
+    got, n = spin(seeds, operators), operators[0].ncols
+    if len(got) == n:
+        assert got == Matrix.identity(n).rows
+    elif got:
+        red, rank = rref(Matrix(got))
+        assert red.rows[:rank] == got and rank == len(got)
 
 
 @settings(max_examples=100, deadline=None)
