@@ -272,14 +272,15 @@ def _lowering_closed(t, d: int) -> Matrix:
 
 def _lowering_recurrence(t, d: int) -> Matrix:
     size, low_phi = d + 1, SequenceTable(t.delta, -t.a, t.b, t.c).phi_upper
-    l = [[_F0] * size for _ in range(size)]
-    for i in range(size):
-        l[i][0] = (math.prod((t.theta_star(0) - t.theta_star(d - h + 1)
-                              for h in range(1, i + 1)), start=_F1)
-                   * math.prod((low_phi(h) for h in range(1, d - i + 1)), start=_F1))
+    top, theta = t.theta_star(0), [t.theta(i) for i in range(size)]
+    # first column: l[i][0] = gap[i] * low[d - i], from two prefix products
+    gap = list(itertools.accumulate((top - t.theta_star(d - h + 1) for h in range(1, size)),
+                                    operator.mul, initial=_F1))
+    low = list(itertools.accumulate(map(low_phi, range(1, size)), operator.mul, initial=_F1))
+    l = [[gap[i] * low[d - i]] + [_F0] * d for i in range(size)]
     for j in range(1, size):
         for i in range(j, size):
-            l[i][j] = (t.theta(i) - t.theta(j - 1)) * l[i][j - 1] + l[i - 1][j - 1]
+            l[i][j] = (theta[i] - theta[j - 1]) * l[i][j - 1] + l[i - 1][j - 1]
     return Matrix(l)
 
 
@@ -344,7 +345,7 @@ def _hom(v_mod: BIModule, w_mod: BIModule) -> tuple[tuple[Matrix, ...], bool]:
             break
     eqs = [[r[n + j * m + p] for j in range(u)] for r in graph[n:] for p in range(m)]
     acc = RrefAccumulator(n * m)
-    for c in (kernel_basis(Matrix(eqs)) if eqs else Matrix.identity(u).rows):
+    for c in (kernel_basis(Matrix(eqs)) if eqs else Matrix.identity(u).rows if u else ()):
         t = [sum((cj * graph[k][n + j * m + p] for j, cj in enumerate(c) if cj), _F0)
              for p in range(m) for k in range(n)]
         acc.add(t[::-1])

@@ -3,14 +3,14 @@
 Everything in this module is deterministic and exact: entries are
 ``fractions.Fraction`` and no floating point is ever involved.  Matrices are
 immutable and dense, but products, ``matvec``, ``spin``, the ladder walk
-``shifted_walk`` and the certificate comparison ``products_equal`` run over a
-cached integer view of the rows (denominators cleared once per row, zeros
-dropped), so the family matrices cost only their nonzeros and each output
-entry is built as a ``Fraction`` once, or not at all where only equality is
-asked.  One Gauss-Jordan engine, ``RrefAccumulator``, does every row
-elimination (rref, rank, kernel, inverse, det, spin, Krylov annihilators); it
-eliminates fraction-free over integer rows and hands back ``Fraction`` rows
-at its boundary.
+``shifted_walk`` and the certificate comparison ``products_equal`` read one
+cached integer form of each matrix (the whole matrix times the lcm of its
+denominators, zeros dropped), so the family matrices cost only their nonzeros
+and each output entry is built as a ``Fraction`` once, or not at all where
+only equality is asked.  One Gauss-Jordan engine, ``RrefAccumulator``, does
+every row elimination (rref, rank, kernel, inverse, det, spin, Krylov
+annihilators); it eliminates fraction-free over integer rows and hands back
+``Fraction`` rows at its boundary.
 """
 
 from __future__ import annotations
@@ -64,26 +64,25 @@ def _scaled(v: Sequence[Fraction | int]) -> tuple[list[int], int]:
 class Matrix:
     """Immutable dense matrix over Fraction, stored row-major.
 
-    Products, ``matvec``, spins and walks read ``_ints``: for each row, the
-    least scale s > 0 that makes it integral and the (column, s*value) pairs
-    of its nonzero entries.  It is built on first use and cached, and it is
-    not part of ``==`` or ``hash``.
+    Products, ``matvec``, spins and walks read one integer form, ``_ints``:
+    the least scale s > 0 that makes the whole matrix integral, and for each
+    row the (column, s*value) pairs of its nonzero entries.  It is built on
+    first use and cached, and it is not part of ``==`` or ``hash``.
     """
 
     __slots__ = ("rows", "_ints")
 
     def __init__(self, rows: Iterable[Iterable[RatLike]]):
-        rs = tuple(tuple(rat(x) for x in row) for row in rows)
-        if not rs or not rs[0]:
-            raise ValueError("matrix must have at least one row and column")
-        ncols = len(rs[0])
-        if any(len(r) != ncols for r in rs):
+        rs = Matrix._new(tuple(tuple(rat(x) for x in row) for row in rows)).rows
+        if any(len(r) != len(rs[0]) for r in rs):
             raise ValueError("ragged rows")
         object.__setattr__(self, "rows", rs)
 
     @classmethod
     def _new(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "Matrix":
-        # internal: entries already Fraction, shape already checked
+        # internal: entries already Fraction, rows already of one length
+        if not rows or not rows[0]:
+            raise ValueError("matrix must have at least one row and column")
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
         return m
@@ -163,37 +162,37 @@ class Matrix:
         return Matrix._new(tuple(tuple(a - b if b else a for a, b in zip(r, s))
                                  for r, s in zip(self.rows, other.rows)))
 
-    def _int_rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    def _int_rows(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """(s, rows): the least s > 0 that makes the matrix integral, and the
+        (column, s*value) pairs of the nonzeros of each row."""
         try:
             return self._ints
         except AttributeError:
-            ints = tuple((s, tuple((j, a) for j, a in enumerate(u) if a))
-                         for u, s in map(_scaled, self.rows))
+            s = math.lcm(*{x.denominator for r in self.rows for x in r})
+            ints = s, tuple(tuple((j, x.numerator * (s // x.denominator))
+                                  for j, x in enumerate(r) if x) for r in self.rows)
             object.__setattr__(self, "_ints", ints)
             return ints
 
-    def _int_product(self, other: "Matrix") -> list[tuple[int, list[int]]]:
-        """The rows of self * other over the integers: (s, ints) per row, the
-        row being ints / s."""
+    def _int_product(self, other: "Matrix") -> tuple[int, list[list[int]]]:
+        """(s*t, rows): self * other is rows / (s*t), where s and t are the
+        scales of the two integer forms."""
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        right, out = other._int_rows(), []
-        for s, row in self._int_rows():
-            # row i of the product is (1/(s*t)) sum_j a'_ij (t/t_j) b'_j
-            t = math.lcm(*(right[j][0] for j, _ in row))
+        (s, left), (t, right), out = self._int_rows(), other._int_rows(), []
+        for row in left:
             acc = [0] * other.ncols
             for j, a in row:
-                tj, right_row = right[j]
-                a *= t // tj
-                for k, b in right_row:
+                for k, b in right[j]:
                     acc[k] += a * b
-            out.append((s * t, acc))
-        return out
+            out.append(acc)
+        return s * t, out
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
+            s, rows = self._int_product(other)
             return Matrix._new(tuple(tuple(Fraction(x, s) if x else _F0 for x in acc)
-                                     for s, acc in self._int_product(other)))
+                                     for acc in rows))
         s = rat(other)
         return Matrix._new(tuple(tuple(s * a if a else a for a in r) for r in self.rows))
 
@@ -204,9 +203,8 @@ class Matrix:
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
         u, t = _scaled(v)
-        ints = self._int_rows()
-        sums = (sum(a * u[j] for j, a in row) for _, row in ints)
-        return tuple(Fraction(x, s * t) if x else _F0 for x, (s, _) in zip(sums, ints))
+        s, rows = self._int_rows()
+        return tuple(Fraction(x, s * t) if x else _F0 for x in _apply(rows, u))
 
     @property
     def T(self) -> "Matrix":
@@ -272,36 +270,34 @@ def anticommutator(a: Matrix, b: Matrix) -> Matrix:
 def products_equal(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:
     """a * b == c * d, compared row by row over integers (the scales
     cross-multiplied), without building either product as Fractions."""
-    left, right = a._int_product(b), c._int_product(d)
+    (s, left), (t, right) = a._int_product(b), c._int_product(d)
     return (a.nrows, b.ncols) == (c.nrows, d.ncols) and all(
-        [x * t for x in u] == [y * s for y in w] for (s, u), (t, w) in zip(left, right))
+        [x * t for x in u] == [y * s for y in w] for u, w in zip(left, right))
 
 
-def _int_operator(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
-    """(s, rows): the least s > 0 that makes m integral, and the (column,
-    value) pairs of the nonzeros of each row of s*m."""
-    ints = m._int_rows()
-    s = math.lcm(*(t for t, _ in ints))
-    return s, [[(j, s // t * a) for j, a in row] for t, row in ints]
+def _apply(rows: Sequence[Sequence[tuple[int, int]]], u: Sequence[int]) -> list[int]:
+    """The integer matrix given by the (column, value) pairs of its rows,
+    applied to the integer vector u."""
+    return [sum(a * u[j] for j, a in row) for row in rows]
 
 
 def shifted_walk(m: Matrix, v: Sequence[Fraction],
                  shifts: Iterable[Fraction]) -> tuple[Vector, ...]:
     """(v, (m - s_0) v, (m - s_1)(m - s_0) v, ...): one more vector per shift.
-    The walk runs over ints: m is scaled to integers once, the vector is
-    carried as (ints, scale) with its content divided out at each step, and
-    each output entry is built as a Fraction once."""
+    The walk runs over ints: it reads the cached integer form of m, carries
+    the vector as (ints, scale) with its content divided out at each step,
+    and builds each output entry as a Fraction once."""
     walk, shifts = [tuple(v)], [rat(s) for s in shifts]
     if not shifts:
         return tuple(walk)
     if len(v) != m.ncols:
         raise ValueError("vector length mismatch")
-    scale, op = _int_operator(m)
+    scale, op = m._int_rows()
     u, t = _scaled(v)
     for s in shifts:
         # (m - p/q)(u/t) = (q M u - p scale u) / (q scale t), M = scale m
         p, q = s.numerator * scale, s.denominator
-        u = [q * sum(a * u[j] for j, a in row) - p * x for row, x in zip(op, u)]
+        u = [q * y - p * x for y, x in zip(_apply(op, u), u)]
         t *= q * scale
         g = math.gcd(t, *u)
         u, t = [x // g for x in u], t // g
@@ -421,24 +417,24 @@ def spin(vectors: Sequence[Sequence[RatLike]], operators: Sequence[Matrix]) -> t
     basis until the dimension stabilizes.  Returned basis rows are in rref,
     sorted by pivot column, so the output is canonical for the subspace.
     The walk runs over ints: a scalar multiple of an operator spans the same
-    subspace, so each operator and each seed is scaled to integers once.
+    subspace, so it reads each operator's cached integer form and scales
+    each seed to integers once.
     """
     if not operators:
         raise ValueError("need at least one operator")
     ncols = operators[0].ncols
     if any(op.shape != (ncols, ncols) for op in operators):
         raise ValueError("operators must be square and of one size")
-    int_ops = [_int_operator(op)[1] for op in operators]
+    int_ops = [op._int_rows()[1] for op in operators]
     acc = RrefAccumulator(ncols)
     queue = deque(u for u, _ in map(_scaled, map(vec, vectors)) if acc.add(u))
     while queue and len(acc) < ncols:
         u = queue.popleft()
         for op in int_ops:
-            w = [sum(a * u[j] for j, a in row) for row in op]
+            w = _apply(op, u)
             if acc.add(w):
                 queue.append(w)
-    # a spin that reaches the whole space has the identity as its rref
-    return Matrix.identity(ncols).rows if len(acc) == ncols else acc.rows
+    return acc.rows
 
 
 class Poly:

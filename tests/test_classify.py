@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from bannai_ito import classify, universal
 from bannai_ito.bimodule import ALL_TWISTS, BIModule, CertificateError, EvenParams, \
-    NotAModule, OddParams, TwistSign, conjugate, direct_sum, even_module, example_even, \
-    example_odd, odd_module, twist
+    NotAModule, OddParams, SequenceTable, TwistSign, conjugate, direct_sum, even_module, \
+    example_even, example_odd, odd_module, twist
 from bannai_ito.classify import ClassCoordinates, IdentificationFailed, \
     IndeterminateIsomorphism, NonSplitSpectrum, NotRationalFamily, \
     are_isomorphic, criterion, criterion_even, criterion_odd, identify, \
@@ -378,6 +378,21 @@ def test_lowering_operator_work_is_linear(monkeypatch):
     monkeypatch.setattr(Matrix, "matvec", counting_matvec)
     low = lowering_matrix(d, *params, method="operator")
     assert len(calls) <= 2 * d
+    monkeypatch.undo()
+    assert low == lowering_matrix(d, *params, method="closed")
+
+
+def test_lowering_recurrence_reads_each_table_value_once(monkeypatch):
+    # the first column comes from two prefix products: at most 3d table values
+    # at d = 31, where rebuilding both products for every row took 1,488
+    calls = []
+    for name in ("theta_star", "phi_upper"):
+        real = getattr(SequenceTable, name)
+        monkeypatch.setattr(SequenceTable, name,
+                            lambda self, i, real=real: calls.append(i) or real(self, i))
+    d, params = 31, (F(1, 3), F(2, 7), F(5, 11))
+    low = lowering_matrix(d, *params, method="recurrence")
+    assert len(calls) <= 3 * d
     monkeypatch.undo()
     assert low == lowering_matrix(d, *params, method="closed")
 

@@ -7,6 +7,7 @@ reduction has one too: a textbook column-by-column Gauss-Jordan, against
 which the library's incremental rref engine is compared.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -429,8 +430,13 @@ _ROW = Matrix([[1, 2]])
     (lambda: is_squarefree(Poly(())), ValueError, "zero polynomial"),
     (lambda: spin([], []), ValueError, "need at least one operator"),
     (lambda: rat(1.5), TypeError, r"not an exact rational: 1\.5"),
+    (lambda: Matrix.identity(0), ValueError, "matrix must have at least one row and column"),
+    (lambda: Matrix.zero(0), ValueError, "matrix must have at least one row and column"),
+    (lambda: Matrix.diagonal([]), ValueError, "matrix must have at least one row and column"),
+    (lambda: Matrix.block_diag(), ValueError, "matrix must have at least one row and column"),
 ], ids=["add", "sub", "matvec", "trace", "det", "inverse", "char_poly", "rational_spectrum",
-        "min_poly", "leading", "divmod", "rational_roots", "is_squarefree", "spin", "rat"])
+        "min_poly", "leading", "divmod", "rational_roots", "is_squarefree", "spin", "rat",
+        "identity_0", "zero_0", "diagonal_empty", "block_diag_empty"])
 def test_guards_raise(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()
@@ -589,6 +595,25 @@ def test_spin_is_invariant(m):
         acc.add(b)
     for b in basis:
         assert acc.contains(m.matvec(b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda r: st.integers(
+    min_value=1, max_value=4).flatmap(lambda c: shaped_matrices(r, c))))
+@example(Matrix([[F(1, 2), 0], [F(1, 3), F(-2, 5)]]))  # rows over 2 and over 15
+@example(Matrix([[0, 0], [0, 0]]))
+def test_integer_form_is_the_whole_matrix_over_one_scale(m):
+    # one scale for the whole matrix, the lcm of every denominator; the
+    # (column, s*value) pairs give back each entry, and zeros are dropped
+    s, rows = m._int_rows()
+    assert s == math.lcm(*(x.denominator for r in m.rows for x in r))
+    assert len(rows) == m.nrows and all(a for row in rows for _, a in row)
+    for r, row in zip(m.rows, rows):
+        nonzero = dict(row)
+        assert [j for j, _ in row] == sorted(nonzero)
+        assert all(type(a) is int for a in nonzero.values())
+        assert tuple(F(nonzero.get(j, 0), s) for j in range(m.ncols)) == r
+    assert m._int_rows() is m._int_rows()  # built once and cached
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,10 +1,10 @@
-"""Repository hygiene: the runtime imports only the standard library and no
-layer imports another's private names, no library guarantee rests on an
-`assert` (stripped under `python -O`), no file that .gitignore excludes is
-tracked, every library name the benchmark traces still resolves, the
-benchmark's library workloads run one small round, `__all__` lists
-exactly the public names the package binds, and `SequenceTable` alone holds
-the ladder formulas."""
+"""Repository hygiene: the runtime imports only the standard library, no
+layer imports another's private names or reads another's private
+attributes, no library guarantee rests on an `assert` (stripped under
+`python -O`), no file that .gitignore excludes is tracked, every library
+name the benchmark traces still resolves, the benchmark's library
+workloads run one small round, `__all__` lists exactly the public names the
+package binds, and `SequenceTable` alone holds the ladder formulas."""
 
 import ast
 import importlib
@@ -38,6 +38,26 @@ def test_runtime_imports_are_stdlib_or_relative():
                 continue
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
+
+
+def test_private_attributes_stay_with_their_module():
+    # a `_name` attribute read in one module must be defined there (a def, an
+    # assignment target or a string literal, as in __slots__ and setattr)
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        defined = {n.name for n in nodes if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {n.id for n in nodes
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        defined |= {n.attr for n in nodes
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)}
+        defined |= {n.value for n in nodes
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        foreign += [f"{path.name}:{n.lineno}: {n.attr}" for n in nodes
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                    and n.attr.startswith("_") and not n.attr.endswith("__")
+                    and n.attr not in defined]
     assert foreign == []
 
 
