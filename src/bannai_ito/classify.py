@@ -38,7 +38,7 @@ from typing import Iterator
 from .bimodule import BIModule, CertificateError, EvenParams, NotAModule, OddParams, \
     SequenceTable, TwistSign, central_scalars, certify_intertwiner, twist
 from .exactlinalg import Matrix, RatLike, RrefAccumulator, Vector, \
-    as_text, kernel_basis, rat, rational_spectrum, shifted_walk, spin
+    as_text, kernel_basis, rat, rational_spectrum, shifted_walk, spans_space, spin
 from .universal import AnnihilatorFails, PremiseViolated, ladder_map
 
 _F0 = Fraction(0)
@@ -138,16 +138,16 @@ def _norton(v_mod: BIModule, nmat: Matrix, v: Vector, label: str) -> IrrVerdict:
     A proper submodule either meets the kernel line (proper primal spin) or
     is mapped onto itself, trapping the transposed kernel line inside its
     annihilator (proper dual spin).  Both spins full therefore certifies
-    irreducibility; either spin proper yields a verified witness.
+    irreducibility; either spin proper yields a verified witness.  A spin
+    ``spans_space`` shows full mod p is full over Q; any other runs exactly,
+    so every witness comes from the exact engine.
     """
-    n = v_mod.dim
-    primal = spin([v], [v_mod.X, v_mod.Y])
-    if len(primal) < n:
+    n, ops = v_mod.dim, [v_mod.X, v_mod.Y]
+    if not spans_space([v], ops) and len(primal := spin([v], ops)) < n:
         return _reducible(v_mod, primal, f"spin of the kernel of {label}",
                           f"kernel of {label} generates a proper submodule")
-    w = kernel_basis(nmat.T)[0]
-    dual = spin([w], [v_mod.X.T, v_mod.Y.T])
-    if len(dual) < n:
+    w, ops_t = kernel_basis(nmat.T)[0], [v_mod.X.T, v_mod.Y.T]
+    if not spans_space([w], ops_t) and len(dual := spin([w], ops_t)) < n:
         return _reducible(v_mod, kernel_basis(Matrix(dual)),
                           f"dual-spin annihilator for the kernel of {label}",
                           f"dual kernel of {label} generates a proper submodule; "
@@ -197,14 +197,15 @@ def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
     theta*_0 line first), comes from one elimination; the first kernel line
     is a Norton element for the two-sided spin test.  If every eigenspace of
     g is >= 2-dimensional, each kernel basis vector is spun under X and Y
-    (the MeatAxe step); the first proper spin is a verified witness, and in
-    an irreducible module every spin is full.  Last,
+    (the MeatAxe step, run exactly unless ``spans_space`` shows it full mod
+    p); the first proper spin is a verified witness, and in an irreducible
+    module every spin is full.  Last,
     (Y - theta) + t (X - theta') for t in (1, -1, 2, -2) is probed for
     nullity 1.  Indeterminate is left only when no shift of X or Y and no
     combination has nullity 1, and every eigenvector spin is full.  Raises
     NonSplitSpectrum if the spectrum of Y or X is not rational.
     """
-    n = v_mod.dim
+    n, ops = v_mod.dim, [v_mod.X, v_mod.Y]
     if n == 1:
         return IrrVerdict("irreducible", None, "dimension 1")
     fat = {}
@@ -217,8 +218,7 @@ def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
             fat[name].append((shifted, label, kernel))
         for _, label, kernel in fat[name]:
             for v in kernel:
-                sub = spin([v], [v_mod.X, v_mod.Y])
-                if len(sub) < n:
+                if not spans_space([v], ops) and len(sub := spin([v], ops)) < n:
                     what = f"an eigenvector in the kernel of {label}"
                     return _reducible(v_mod, sub, f"spin of {what}",
                                       f"{what} generates a proper submodule")
@@ -374,7 +374,9 @@ def are_isomorphic(v_mod: BIModule, w_mod: BIModule) -> tuple[bool, Matrix | Non
     draws sum c_i T_i over the whole basis, c_i uniform in [-4n, 4n] from
     random.Random(0): if some T is invertible, each draw is singular with
     probability at most n/(8n+1) < 1/8 (Schwartz, J. ACM 27, 1980), all ten
-    below 2**-30, and only then is IndeterminateIsomorphism raised.
+    below 2**-30, and only then is IndeterminateIsomorphism raised.  T is
+    invertible when its rows span mod p (``spans_space``, a nonzero integer
+    minor), else when its exact rank is n; the returned T is exact either way.
     """
     if v_mod.dim != w_mod.dim or v_mod.kappa != w_mod.kappa:
         return (False, None)
@@ -389,7 +391,7 @@ def are_isomorphic(v_mod: BIModule, w_mod: BIModule) -> tuple[bool, Matrix | Non
     draws = (sum((el * rng.randint(-4 * n, 4 * n) for el in space), Matrix.zero(n))
              for _ in range(10 if len(space) > 1 else 0))
     for t in itertools.chain(space, draws):
-        if t.rank() == n:
+        if spans_space(t.rows) or t.rank() == n:
             return (True, certify_intertwiner(t, v_mod, w_mod, "intertwiner-space element"))
     if len(space) == 1:
         return (False, None)  # every intertwiner is a multiple of one singular map

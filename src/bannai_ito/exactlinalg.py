@@ -8,9 +8,11 @@ cached integer form of each matrix (the whole matrix times the lcm of its
 denominators, zeros dropped), so the family matrices cost only their nonzeros
 and each output entry is built as a ``Fraction`` once, or not at all where
 only equality is asked.  One Gauss-Jordan engine, ``RrefAccumulator``, does
-every row elimination (rref, rank, kernel, inverse, det, spin, Krylov
+every exact row elimination (rref, rank, kernel, inverse, det, spin, Krylov
 annihilators); it eliminates fraction-free over integer rows and hands back
-``Fraction`` rows at its boundary.
+``Fraction`` rows at its boundary, and it builds every witness.  Only "is the
+spin or span the whole space?" is first asked mod one prime (``spans_space``):
+a full rank mod p is a nonzero integer minor, so a proof over Q.
 """
 
 from __future__ import annotations
@@ -110,10 +112,17 @@ class Matrix:
 
     @classmethod
     def block_diag(cls, *blocks: "Matrix") -> "Matrix":
-        """The blocks down the diagonal, the first at the top left."""
+        """The blocks down the diagonal, the first at the top left; the
+        integer form is set from the blocks' cached forms, columns offset."""
         widths = [b.ncols for b in blocks]
-        return cls._new(tuple((_F0,) * sum(widths[:i]) + r + (_F0,) * sum(widths[i + 1:])
-                              for i, b in enumerate(blocks) for r in b.rows))
+        m = cls._new(tuple((_F0,) * sum(widths[:i]) + r + (_F0,) * sum(widths[i + 1:])
+                           for i, b in enumerate(blocks) for r in b.rows))
+        forms = [b._int_rows() for b in blocks]
+        s = math.lcm(*(t for t, _ in forms))
+        object.__setattr__(m, "_ints", (s, tuple(
+            tuple((j + sum(widths[:i]), x * (s // t)) for j, x in row)
+            for i, (t, rows) in enumerate(forms) for row in rows)))
+        return m
 
     @property
     def nrows(self) -> int:
@@ -435,6 +444,40 @@ def spin(vectors: Sequence[Sequence[RatLike]], operators: Sequence[Matrix]) -> t
             if acc.add(w):
                 queue.append(w)
     return acc.rows
+
+
+_PRIME = 2**61 - 1
+
+
+def spans_space(vectors: Sequence[Sequence[RatLike]], operators: Sequence[Matrix] = ()) -> bool:
+    """True only if the spin of `vectors` under `operators` (with none, their
+    span) is the whole space; False means "not shown", never "proper".
+
+    Row reduction mod the prime _PRIME over the integer forms ``spin`` reads:
+    each reduced row is the residue of an integer vector of the spin, so n
+    rows independent mod p give a nonzero integer minor, whatever the prime.
+    """
+    n, p = operators[0].ncols if operators else len(vectors[0]), _PRIME
+    int_ops, basis = [op._int_rows()[1] for op in operators], []
+
+    def add(u: list[int]) -> list[int] | None:
+        """u reduced against the basis and scaled to pivot 1, or None if 0."""
+        u = [x % p for x in u]
+        for c, tail in basis:  # a basis row is kept from its pivot c on
+            if f := u[c]:
+                u[c:] = [(a - f * b) % p for a, b in zip(u[c:], tail)]
+        for c, lead in enumerate(u):
+            if lead:
+                inv = pow(lead, -1, p)
+                u = [a * inv % p for a in u]
+                basis.append((c, u[c:]))
+                return u
+
+    queue = deque(filter(None, (add(_scaled(vec(v))[0]) for v in vectors)))
+    while queue and len(basis) < n:
+        u = queue.popleft()
+        queue.extend(filter(None, (add(_apply(op, u)) for op in int_ops)))
+    return len(basis) == n
 
 
 class Poly:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bannai_ito import classify, universal
+from bannai_ito import classify, exactlinalg, universal
 from bannai_ito.bimodule import ALL_TWISTS, BIModule, CertificateError, EvenParams, \
     NotAModule, OddParams, SequenceTable, TwistSign, conjugate, direct_sum, even_module, \
     example_even, example_odd, odd_module, twist
@@ -274,6 +274,14 @@ def test_verify_invariant_subspace_edges():
     assert not verify_invariant_subspace(mod, (e1, (F(0), F(2))))  # dependent
     assert not verify_invariant_subspace(mod, (e0,))  # not closed: X e0 hits e1
     assert verify_invariant_subspace(mod, (e1,))
+
+
+def test_verify_invariant_subspace_checks_y_too():
+    # phi_1 != 0, so span{e_1} is X-invariant (the lowest ladder line) but
+    # Y e_1 has an e_0 part
+    mod = even_module(1, F(1, 3), F(2, 7), F(5, 11))
+    assert mod.X.matvec((0, 1))[0] == 0 and mod.Y.matvec((0, 1))[0] != 0
+    assert not verify_invariant_subspace(mod, ((F(0), F(1)),))
 
 
 def test_criterion_matches_oracle_sample():
@@ -713,6 +721,37 @@ def test_certificates_build_no_products(monkeypatch):
     ok, s = are_isomorphic(v, flip)
     assert ok and t.rank() == s.rank() == 32
     assert certified == ["ladder map", "intertwiner-space element"] and products == []
+
+
+def test_a_bad_prime_is_skipped(monkeypatch):
+    # mod 2 many full spins and the rank of T = P read "not shown" (det P = -2),
+    # and each falls back to the exact engine: the same verdicts, witnesses,
+    # details, intertwiners and classes as at the real prime
+    calls = []
+    real_spin, real_rank = classify.spin, Matrix.rank
+    monkeypatch.setattr(classify, "spin", lambda *a: calls.append("spin") or real_spin(*a))
+    monkeypatch.setattr(Matrix, "rank", lambda m: calls.append("rank") or real_rank(m))
+    a, b, c = F(1, 3), F(2, 7), F(5, 11)
+    mods = [example_even(), example_odd(), even_module(3, 0, F(1, 2), F(1, 2)),
+            even_module(5, 0, F(-1, 2), F(1, 2)),
+            conjugate(even_module(5, a, b, c), _unimodular(6, random.Random(1)))]
+
+    def answers():
+        out = []
+        for v in mods:
+            p = Matrix.block_diag(Matrix([[1, 1], [1, -1]]), Matrix.identity(v.dim - 2))
+            out += [oracle_irreducible(v), are_isomorphic(v, conjugate(v, p))]
+            try:
+                out.append(identify(v))
+            except IdentificationFailed as exc:
+                out.append(str(exc))
+        return out
+
+    expected = answers()
+    exact, calls[:] = sorted(calls), []
+    monkeypatch.setattr(exactlinalg, "_PRIME", 2)
+    assert answers() == expected
+    assert all(calls.count(f) > exact.count(f) for f in ("spin", "rank"))
 
 
 def test_certificates_checked_under_python_O():

@@ -9,10 +9,12 @@ which the library's incremental rref engine is compared.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bannai_ito import exactlinalg
 from bannai_ito.exactlinalg import (
     Matrix,
     Poly,
@@ -29,6 +31,7 @@ from bannai_ito.exactlinalg import (
     rational_spectrum,
     rref,
     shifted_walk,
+    spans_space,
     spin,
     vec,
 )
@@ -616,6 +619,15 @@ def test_integer_form_is_the_whole_matrix_over_one_scale(m):
     assert m._int_rows() is m._int_rows()  # built once and cached
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=3).flatmap(lambda r: st.integers(
+    min_value=1, max_value=3).flatmap(lambda c: shaped_matrices(r, c))), min_size=1, max_size=3))
+def test_block_diag_integer_form_comes_from_the_blocks(blocks):
+    # the form set from the blocks' forms is the one the dense rows give
+    m = Matrix.block_diag(*blocks)
+    assert m._ints == Matrix._new(m.rows)._int_rows()
+
+
 @settings(max_examples=80, deadline=None)
 @given(product_operands())
 @example((Matrix([[0, 0, 0], [F(1, 3), 0, F(2, 7)]]), Matrix([[0, F(5, 2)], [0, 0], [0, 1]]),
@@ -686,6 +698,12 @@ def test_products_equal_shapes():
     assert not products_equal(_ROW.T, _ROW, _ROW, _ROW.T)
 
 
+def test_products_equal_compares_outer_shapes():
+    # the first rows agree, so comparing the rows that zip pairs up is not enough
+    eye = Matrix.identity(2)
+    assert not products_equal(Matrix([[1, 0]]), eye, eye, eye)
+
+
 @pytest.mark.parametrize("m, v, shifts", [
     (X4, (1, 0, 0, 0), [F(1, 2), 1, -2, 3]),
     (X4, (F(1, 2), 0, 3, 0), []),
@@ -735,6 +753,31 @@ def test_spin_matches_naive_closure(case):
     got = spin(seeds, operators)
     assert got == spin_oracle(seeds, operators)
     assert _all_fractions(got)
+
+
+@pytest.mark.parametrize("prime", [exactlinalg._PRIME, 3], ids=["real_prime", "prime_3"])
+@settings(max_examples=50, deadline=None)
+@given(spin_cases(), product_matrices(max_n=4))
+@example(([(F(1), F(0))], [Matrix([[0, 0], [3, 0]])]), Matrix([[3, 0], [0, 1]]))
+def test_spans_space_never_claims_a_proper_span(prime, case, t):
+    # True mod p is a proof over Q at every prime; at p = 3 many full spans
+    # read "not shown" (the example is full over Q, not mod 3)
+    seeds, operators = case
+    with mock.patch.object(exactlinalg, "_PRIME", prime):
+        spun, independent = spans_space(seeds, operators), spans_space(t.rows)
+    if spun:
+        assert len(spin(seeds, operators)) == operators[0].ncols
+    if independent:
+        assert t.rank() == t.ncols
+
+
+def test_spans_space_fixed():
+    assert spans_space([(1, 0, 0, 0)], [X4, Y4]) and spans_space(X4.rows)
+    assert not spans_space([(0, 0, 0, 1)], [X4])  # the lowest ladder line is X-invariant
+    assert not spans_space(Matrix([[1, 2], [2, 4]]).rows)
+    with mock.patch.object(exactlinalg, "_PRIME", 3):
+        assert not spans_space([(1, 0)], [Matrix([[0, 0], [3, 0]])])  # not shown mod 3
+        assert spans_space([(1, 0)], [Matrix([[0, 0], [F(1, 3), 0]])])  # a scale of 3 is harmless
 
 
 def _all_fractions(rows):
