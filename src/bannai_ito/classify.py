@@ -16,9 +16,9 @@ A third certificate for the even family is the lowering matrix, computable
 three unrelated ways (operator products, a two-term recurrence, a closed-form
 product); it is nonsingular exactly when the criterion holds.
 
-Isomorphism is decided from the intertwiner space, one graph spin of
-Y-eigenvectors (the named theta*_0 line first, as in the oracle, so a
-conjugate needs no spectrum; then unit vectors) with their images in V + W^k.
+Isomorphism is decided from the intertwiner space: one graph spin in V + W^k
+of Y-eigenvectors (the named theta*_0 line first, so a conjugate needs no
+spectrum), then unit vectors, each kept if it raises the seeds' rank mod p.
 ``identify`` reads family coordinates (twist signs and the nonnegative
 parameter orbit representative for even dimension, exact parameters for
 odd) off the invariants and certifies them with the ladder map of the
@@ -38,7 +38,7 @@ from typing import Iterator
 from .bimodule import BIModule, CertificateError, EvenParams, NotAModule, OddParams, \
     SequenceTable, TwistSign, central_scalars, certify_intertwiner, twist
 from .exactlinalg import Matrix, RatLike, RrefAccumulator, Vector, \
-    as_text, kernel_basis, rat, rational_spectrum, shifted_walk, spans_space, spin
+    as_text, kernel_basis, rank_mod_p, rat, rational_spectrum, shifted_walk, spin
 from .universal import AnnihilatorFails, PremiseViolated, ladder_map
 
 _F0 = Fraction(0)
@@ -139,15 +139,15 @@ def _norton(v_mod: BIModule, nmat: Matrix, v: Vector, label: str) -> IrrVerdict:
     is mapped onto itself, trapping the transposed kernel line inside its
     annihilator (proper dual spin).  Both spins full therefore certifies
     irreducibility; either spin proper yields a verified witness.  A spin
-    ``spans_space`` shows full mod p is full over Q; any other runs exactly,
-    so every witness comes from the exact engine.
+    whose ``rank_mod_p`` is n is full over Q; any other runs exactly, so
+    every witness comes from the exact engine.
     """
     n, ops = v_mod.dim, [v_mod.X, v_mod.Y]
-    if not spans_space([v], ops) and len(primal := spin([v], ops)) < n:
+    if rank_mod_p([v], ops) < n and len(primal := spin([v], ops)) < n:
         return _reducible(v_mod, primal, f"spin of the kernel of {label}",
                           f"kernel of {label} generates a proper submodule")
     w, ops_t = kernel_basis(nmat.T)[0], [v_mod.X.T, v_mod.Y.T]
-    if not spans_space([w], ops_t) and len(dual := spin([w], ops_t)) < n:
+    if rank_mod_p([w], ops_t) < n and len(dual := spin([w], ops_t)) < n:
         return _reducible(v_mod, kernel_basis(Matrix(dual)),
                           f"dual-spin annihilator for the kernel of {label}",
                           f"dual kernel of {label} generates a proper submodule; "
@@ -197,13 +197,13 @@ def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
     theta*_0 line first), comes from one elimination; the first kernel line
     is a Norton element for the two-sided spin test.  If every eigenspace of
     g is >= 2-dimensional, each kernel basis vector is spun under X and Y
-    (the MeatAxe step, run exactly unless ``spans_space`` shows it full mod
-    p); the first proper spin is a verified witness, and in an irreducible
-    module every spin is full.  Last,
-    (Y - theta) + t (X - theta') for t in (1, -1, 2, -2) is probed for
-    nullity 1.  Indeterminate is left only when no shift of X or Y and no
-    combination has nullity 1, and every eigenvector spin is full.  Raises
-    NonSplitSpectrum if the spectrum of Y or X is not rational.
+    (the MeatAxe step, run exactly unless its ``rank_mod_p`` is n); the
+    first proper spin is a verified witness, and in an irreducible module
+    every spin is full.  Last, (Y - theta) + t (X - theta') for t in
+    (1, -1, 2, -2) is probed for nullity 1.  Indeterminate is left only
+    when no shift of X or Y and no combination has nullity 1, and every
+    eigenvector spin is full.  Raises NonSplitSpectrum if the spectrum of
+    Y or X is not rational.
     """
     n, ops = v_mod.dim, [v_mod.X, v_mod.Y]
     if n == 1:
@@ -218,7 +218,7 @@ def oracle_irreducible(v_mod: BIModule) -> IrrVerdict:
             fat[name].append((shifted, label, kernel))
         for _, label, kernel in fat[name]:
             for v in kernel:
-                if not spans_space([v], ops) and len(sub := spin([v], ops)) < n:
+                if rank_mod_p([v], ops) < n and len(sub := spin([v], ops)) < n:
                     what = f"an eigenvector in the kernel of {label}"
                     return _reducible(v_mod, sub, f"spin of {what}",
                                       f"{what} generates a proper submodule")
@@ -304,16 +304,16 @@ def _hom(v_mod: BIModule, w_mod: BIModule) -> tuple[tuple[Matrix, ...], bool]:
     """Basis of Hom(V, W) by one graph spin, and whether every seeding
     Y-eigenspace has the same dimension in V and in W.
 
-    Seeds are the kernel vectors of Y_V - theta, in the order of
+    Candidate seeds are the kernel vectors of Y_V - theta, in the order of
     ``_eigenspaces``, whose images must lie in ker(Y_W - theta); then unit
-    vectors, whose images are free.  A seed already in the V-span is
-    skipped, and seeding stops once the seeds generate V.  Seed i with d_i
-    allowed images is spun as (s_i; its images, each in its own W slot) in
-    V + W^u, u = sum d_i: the rref rows pivoting in V read
-    [I | A_1 ... A_u], the others (0 | R_1 ... R_u) are the relations
-    sum c_j R_j = 0, and each solution c gives T = sum c_j A_j.  The basis
-    is the one kernel_basis gives for the linear equations on T's row-major
-    entries.
+    vectors, whose images are free.  A candidate joins only if it raises
+    the seeds' ``rank_mod_p`` in V; at rank n they generate V (a bad prime
+    only adds seeds).  One graph spin follows: seed i with d_i allowed
+    images is spun as (s_i; its images, each in its own W slot) in V + W^u,
+    u = sum d_i: the first n rref rows pivot in V and read [I | A_1 ... A_u],
+    the others (0 | R_1 ... R_u) are the relations sum c_j R_j = 0, and
+    each solution c gives T = sum c_j A_j.  The basis is the one
+    kernel_basis gives for the linear equations on T's row-major entries.
     """
     n, m = v_mod.dim, w_mod.dim
     eye_w, agree = Matrix.identity(m), []
@@ -328,21 +328,18 @@ def _hom(v_mod: BIModule, w_mod: BIModule) -> tuple[tuple[Matrix, ...], bool]:
             pass
         yield from ((e, eye_w.rows) for e in Matrix.identity(n).rows)
 
-    seeds, head, pad = [], [], (_F0,) * m
+    seeds, rank, pad = [], 0, (_F0,) * m
     for s, kw in candidates():
-        # head: (pivot, V-part) of the rows pivoting in V, an rref of the V-span
-        if all(x == sum((s[p] * r[j] for p, r in head), _F0) for j, x in enumerate(s)):
-            continue
-        seeds.append((s, kw))
-        slots = [(i, w) for i, (_, images) in enumerate(seeds) for w in images]
-        lifted = [s_i + sum((w if k == i else pad for k, w in slots), ())
-                  for i, (s_i, _) in enumerate(seeds)]
-        u = len(slots)
-        graph = spin(lifted, [Matrix.block_diag(v_mod.X, *[w_mod.X] * u),
-                              Matrix.block_diag(v_mod.Y, *[w_mod.Y] * u)])
-        head = [(next(j for j, x in enumerate(r) if x), r[:n]) for r in graph if any(r[:n])]
-        if len(head) == n:
-            break
+        if (r := rank_mod_p([s_i for s_i, _ in seeds] + [s], [v_mod.X, v_mod.Y])) > rank:
+            seeds.append((s, kw))
+            if (rank := r) == n:
+                break
+    slots = [(i, w) for i, (_, images) in enumerate(seeds) for w in images]
+    lifted = [s_i + sum((w if k == i else pad for k, w in slots), ())
+              for i, (s_i, _) in enumerate(seeds)]
+    u = len(slots)
+    graph = spin(lifted, [Matrix.block_diag(v_mod.X, *[w_mod.X] * u),
+                          Matrix.block_diag(v_mod.Y, *[w_mod.Y] * u)])
     eqs = [[r[n + j * m + p] for j in range(u)] for r in graph[n:] for p in range(m)]
     acc = RrefAccumulator(n * m)
     for c in (kernel_basis(Matrix(eqs)) if eqs else Matrix.identity(u).rows if u else ()):
@@ -375,8 +372,8 @@ def are_isomorphic(v_mod: BIModule, w_mod: BIModule) -> tuple[bool, Matrix | Non
     random.Random(0): if some T is invertible, each draw is singular with
     probability at most n/(8n+1) < 1/8 (Schwartz, J. ACM 27, 1980), all ten
     below 2**-30, and only then is IndeterminateIsomorphism raised.  T is
-    invertible when its rows span mod p (``spans_space``, a nonzero integer
-    minor), else when its exact rank is n; the returned T is exact either way.
+    invertible when its ``rank_mod_p`` is n (a nonzero integer minor), else
+    when its exact rank is n; the returned T is exact either way.
     """
     if v_mod.dim != w_mod.dim or v_mod.kappa != w_mod.kappa:
         return (False, None)
@@ -391,7 +388,7 @@ def are_isomorphic(v_mod: BIModule, w_mod: BIModule) -> tuple[bool, Matrix | Non
     draws = (sum((el * rng.randint(-4 * n, 4 * n) for el in space), Matrix.zero(n))
              for _ in range(10 if len(space) > 1 else 0))
     for t in itertools.chain(space, draws):
-        if spans_space(t.rows) or t.rank() == n:
+        if rank_mod_p(t.rows) == n or t.rank() == n:
             return (True, certify_intertwiner(t, v_mod, w_mod, "intertwiner-space element"))
     if len(space) == 1:
         return (False, None)  # every intertwiner is a multiple of one singular map

@@ -10,9 +10,9 @@ and each output entry is built as a ``Fraction`` once, or not at all where
 only equality is asked.  One Gauss-Jordan engine, ``RrefAccumulator``, does
 every exact row elimination (rref, rank, kernel, inverse, det, spin, Krylov
 annihilators); it eliminates fraction-free over integer rows and hands back
-``Fraction`` rows at its boundary, and it builds every witness.  Only "is the
-spin or span the whole space?" is first asked mod one prime (``spans_space``):
-a full rank mod p is a nonzero integer minor, so a proof over Q.
+``Fraction`` rows at its boundary, and it builds every witness.  Only the
+dimension of a spin or span is first asked mod one prime (``rank_mod_p``),
+a lower bound over Q: a full rank mod p is a nonzero integer minor.
 """
 
 from __future__ import annotations
@@ -449,12 +449,13 @@ def spin(vectors: Sequence[Sequence[RatLike]], operators: Sequence[Matrix]) -> t
 _PRIME = 2**61 - 1
 
 
-def spans_space(vectors: Sequence[Sequence[RatLike]], operators: Sequence[Matrix] = ()) -> bool:
-    """True only if the spin of `vectors` under `operators` (with none, their
-    span) is the whole space; False means "not shown", never "proper".
+def rank_mod_p(vectors: Sequence[Sequence[RatLike]], operators: Sequence[Matrix] = ()) -> int:
+    """The dimension mod p of the spin of `vectors` under `operators` (with
+    none, of their span), a lower bound on it over Q: n proves a full spin,
+    and a lower value means "not shown", never "proper".
 
     Row reduction mod the prime _PRIME over the integer forms ``spin`` reads:
-    each reduced row is the residue of an integer vector of the spin, so n
+    each reduced row is the residue of an integer vector of the spin, so k
     rows independent mod p give a nonzero integer minor, whatever the prime.
     """
     n, p = operators[0].ncols if operators else len(vectors[0]), _PRIME
@@ -477,7 +478,7 @@ def spans_space(vectors: Sequence[Sequence[RatLike]], operators: Sequence[Matrix
     while queue and len(basis) < n:
         u = queue.popleft()
         queue.extend(filter(None, (add(_apply(op, u)) for op in int_ops)))
-    return len(basis) == n
+    return len(basis)
 
 
 class Poly:

@@ -9,9 +9,10 @@ import sys
 import textwrap
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bannai_ito import classify, exactlinalg, universal
@@ -652,14 +653,27 @@ def operator_pairs(draw):
     return v, pair(m)
 
 
+_ROTATION = BIModule(Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
+                     Matrix([[0, -1, 0], [1, 0, 0], [0, 0, 1]]), F(0), F(0), F(0))
+_STRETCH = BIModule(Matrix([[0, 0, 0], [3, 0, 0], [0, 0, 0]]),
+                    Matrix.diagonal([0, 0, 1]), F(0), F(0), F(0))
+
+
 @given(operator_pairs())
 @settings(max_examples=150, deadline=None)
+# a non-split Y: unit-vector seeds, e_2 inside the spin of e_1
+@example((_ROTATION, conjugate(_ROTATION, Matrix([[1, 1, 0], [0, 1, 0], [1, 0, 1]]))))
+# the eigenvector e_2 is inside the spin of e_1 over Q (skipped), not mod 3
+@example((_STRETCH, _STRETCH))
 def test_intertwiner_space_matches_dense_system(pair):
     v, w = pair
     n, m = v.dim, w.dim
     expected = tuple(Matrix([k[r * n:(r + 1) * n] for r in range(m)])
                      for k in kernel_basis(_dense_hom_system(v, w)))
     assert intertwiner_space(v, w) == expected
+    # a bad prime undercounts the seeds' rank, which only adds seeds
+    with mock.patch.object(exactlinalg, "_PRIME", 3):
+        assert intertwiner_space(v, w) == expected
 
 
 def _direct_sum_pair(d: int) -> tuple[BIModule, BIModule]:
@@ -675,10 +689,10 @@ def _direct_sum_pair(d: int) -> tuple[BIModule, BIModule]:
 
 
 def test_intertwiner_work_is_bounded(monkeypatch):
-    # one graph spin per seed, not the dense 2nm x nm system (720 eliminated
-    # rows for this pair at 2n = 16)
-    calls = []
-    real_add = RrefAccumulator.add
+    # one graph spin per Hom, its seeds picked mod p, not the dense 2nm x nm
+    # system (720 eliminated rows for this pair at 2n = 16)
+    calls, spins = [], []
+    real_add, real_spin = RrefAccumulator.add, classify.spin
 
     def counting_add(self, v):
         calls.append(len(v))
@@ -686,10 +700,11 @@ def test_intertwiner_work_is_bounded(monkeypatch):
 
     v, w = _direct_sum_pair(7)
     monkeypatch.setattr(RrefAccumulator, "add", counting_add)
+    monkeypatch.setattr(classify, "spin", lambda *a: spins.append(a) or real_spin(*a))
     ok, t = are_isomorphic(v, w)
     eliminated = len(calls)
     assert ok and t.rank() == 16
-    assert eliminated <= 200
+    assert len(spins) == 1 and eliminated <= 140
 
 
 def test_certificates_build_no_products(monkeypatch):
@@ -734,7 +749,8 @@ def test_a_bad_prime_is_skipped(monkeypatch):
     a, b, c = F(1, 3), F(2, 7), F(5, 11)
     mods = [example_even(), example_odd(), even_module(3, 0, F(1, 2), F(1, 2)),
             even_module(5, 0, F(-1, 2), F(1, 2)),
-            conjugate(even_module(5, a, b, c), _unimodular(6, random.Random(1)))]
+            conjugate(even_module(5, a, b, c), _unimodular(6, random.Random(1))),
+            direct_sum(even_module(3, a, b, c), even_module(3, a, b, c))]
 
     def answers():
         out = []

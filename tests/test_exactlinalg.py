@@ -26,12 +26,12 @@ from bannai_ito.exactlinalg import (
     kernel_basis,
     min_poly,
     products_equal,
+    rank_mod_p,
     rat,
     rational_roots,
     rational_spectrum,
     rref,
     shifted_walk,
-    spans_space,
     spin,
     vec,
 )
@@ -759,25 +759,23 @@ def test_spin_matches_naive_closure(case):
 @settings(max_examples=50, deadline=None)
 @given(spin_cases(), product_matrices(max_n=4))
 @example(([(F(1), F(0))], [Matrix([[0, 0], [3, 0]])]), Matrix([[3, 0], [0, 1]]))
-def test_spans_space_never_claims_a_proper_span(prime, case, t):
-    # True mod p is a proof over Q at every prime; at p = 3 many full spans
-    # read "not shown" (the example is full over Q, not mod 3)
+def test_rank_mod_p_is_a_lower_bound(prime, case, t):
+    # a rank mod p never exceeds the rank over Q, at every prime, so rank n
+    # is a proof; at p = 3 many ranks undercount (the example is full over Q)
     seeds, operators = case
     with mock.patch.object(exactlinalg, "_PRIME", prime):
-        spun, independent = spans_space(seeds, operators), spans_space(t.rows)
-    if spun:
-        assert len(spin(seeds, operators)) == operators[0].ncols
-    if independent:
-        assert t.rank() == t.ncols
+        spun, independent = rank_mod_p(seeds, operators), rank_mod_p(t.rows)
+    assert spun <= len(spin(seeds, operators))
+    assert independent <= t.rank()
 
 
-def test_spans_space_fixed():
-    assert spans_space([(1, 0, 0, 0)], [X4, Y4]) and spans_space(X4.rows)
-    assert not spans_space([(0, 0, 0, 1)], [X4])  # the lowest ladder line is X-invariant
-    assert not spans_space(Matrix([[1, 2], [2, 4]]).rows)
+def test_rank_mod_p_fixed():
+    assert rank_mod_p([(1, 0, 0, 0)], [X4, Y4]) == rank_mod_p(X4.rows) == 4
+    assert rank_mod_p([(0, 0, 0, 1)], [X4]) == 1  # the lowest ladder line is X-invariant
+    assert rank_mod_p(Matrix([[1, 2], [2, 4]]).rows) == 1
     with mock.patch.object(exactlinalg, "_PRIME", 3):
-        assert not spans_space([(1, 0)], [Matrix([[0, 0], [3, 0]])])  # not shown mod 3
-        assert spans_space([(1, 0)], [Matrix([[0, 0], [F(1, 3), 0]])])  # a scale of 3 is harmless
+        assert rank_mod_p([(1, 0)], [Matrix([[0, 0], [3, 0]])]) == 1  # an undercount mod 3
+        assert rank_mod_p([(1, 0)], [Matrix([[0, 0], [F(1, 3), 0]])]) == 2  # a scale of 3 is harmless
 
 
 def _all_fractions(rows):
