@@ -15,10 +15,9 @@ Modules built from modules: ``twist``, ``conjugate`` and ``direct_sum``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .exactlinalg import Matrix, Poly, RatLike, anticommutator, \
     is_squarefree, min_poly, products_equal, rat, rational_roots
@@ -45,8 +44,35 @@ def _sign(i: int) -> int:
     return 1 if i % 2 == 0 else -1
 
 
-@dataclass(frozen=True)
-class SequenceTable:
+class _Frozen:
+    """An immutable value with class-strict equality: the ``_fields`` are set
+    once in ``__init__``, and hash and repr read them.  No ``__slots__``:
+    copy and pickle restore slots through ``__setattr__``, a dict directly."""
+
+    _fields: ClassVar[tuple[str, ...]]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "{}({})".format(type(self).__qualname__, ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields))
+
+
+class SequenceTable(_Frozen):
     """Closed-form sequences of the Verma-type module M_delta(a, b, c);
     `delta` may be any rational.  A family point (``FamilyParams``) is its
     own table, cut after v_d where phi_{d+1} = 0.
@@ -56,10 +82,15 @@ class SequenceTable:
     phi_upper(i)  superdiagonal of Y in the ladder basis
     """
 
+    _fields = ("delta", "a", "b", "c")
     delta: Fraction
     a: Fraction
     b: Fraction
     c: Fraction
+
+    def __init__(self, delta: Fraction, a: Fraction, b: Fraction, c: Fraction):
+        for f, v in zip(self._fields, (delta, a, b, c)):
+            object.__setattr__(self, f, v)
 
     def theta(self, i: int) -> Fraction:
         return _sign(i) * (2 * self.a - self.delta + 2 * i) / 2
@@ -153,17 +184,16 @@ class OddParams(FamilyParams):
         return delta, a - k, b - k, k - c
 
 
-@dataclass(frozen=True)
-class TwistSign:
+class TwistSign(NamedTuple("TwistSign", [("eps", int), ("eps_prime", int)])):
     """A sign pair (eps, eps_prime) in {+-1}^2 acting by X -> eps X,
     Y -> eps' Y, hence Z -> eps eps' Z."""
 
-    eps: int
-    eps_prime: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.eps not in (1, -1) or self.eps_prime not in (1, -1):
+    def __new__(cls, eps: int, eps_prime: int):
+        if any(type(s) is not int or s not in (1, -1) for s in (eps, eps_prime)):
             raise ValueError("twist signs must be +1 or -1")
+        return super().__new__(cls, eps, eps_prime)
 
     def __mul__(self, other: "TwistSign") -> "TwistSign":
         return TwistSign(self.eps * other.eps, self.eps_prime * other.eps_prime)
@@ -172,26 +202,25 @@ class TwistSign:
 ALL_TWISTS = (TwistSign(1, 1), TwistSign(1, -1), TwistSign(-1, 1), TwistSign(-1, -1))
 
 
-@dataclass(frozen=True)
-class BIModule:
+class BIModule(_Frozen):
     """A module given by exact matrices for X and Y plus the central scalar
     kappa; Z is derived, never stored.  lam and mu are optional caches of the
     other two central scalars (check_relations verifies them when present)."""
 
+    _fields = ("X", "Y", "kappa", "lam", "mu")
     X: Matrix
     Y: Matrix
     kappa: Fraction
-    lam: Fraction | None = None
-    mu: Fraction | None = None
+    lam: Fraction | None
+    mu: Fraction | None
 
-    def __post_init__(self):
-        if not self.X.is_square or self.X.shape != self.Y.shape:
+    def __init__(self, X: Matrix, Y: Matrix, kappa: RatLike,
+                 lam: RatLike | None = None, mu: RatLike | None = None):
+        if not X.is_square or X.shape != Y.shape:
             raise ValueError("X and Y must be square of equal size")
-        object.__setattr__(self, "kappa", rat(self.kappa))
-        for f in ("lam", "mu"):
-            v = getattr(self, f)
-            if v is not None:
-                object.__setattr__(self, f, rat(v))
+        scalars = (rat(kappa), *(None if s is None else rat(s) for s in (lam, mu)))
+        for f, v in zip(self._fields, (X, Y, *scalars)):
+            object.__setattr__(self, f, v)
 
     @property
     def dim(self) -> int:
@@ -268,16 +297,14 @@ def direct_sum(*mods: BIModule) -> BIModule:
                     Matrix.block_diag(*(m.Y for m in mods)), *scalars.pop())
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     name: str
     passed: bool
     scalar: Fraction | None  # discovered scalar when the residual is scalar
     expected: Fraction | None  # stored value it was compared against, if any
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     checks: tuple[RelationCheck, ...]
 
     @property

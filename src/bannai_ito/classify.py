@@ -31,9 +31,8 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .bimodule import BIModule, CertificateError, EvenParams, NotAModule, OddParams, \
     SequenceTable, TwistSign, central_scalars, certify_intertwiner, twist
@@ -97,8 +96,7 @@ def criterion(params: EvenParams | OddParams) -> bool:
 
 # --- irreducibility: matrix oracle route ----------------------------------------
 
-@dataclass(frozen=True)
-class IrrVerdict:
+class IrrVerdict(NamedTuple):
     status: str  # "irreducible" | "reducible" | "indeterminate"
     witness: tuple[Vector, ...] | None  # basis of a proper invariant subspace
     detail: str = ""
@@ -399,8 +397,7 @@ def are_isomorphic(v_mod: BIModule, w_mod: BIModule) -> tuple[bool, Matrix | Non
 
 # --- invariants and identification ----------------------------------------------
 
-@dataclass(frozen=True)
-class InvariantData:
+class InvariantData(NamedTuple):
     """Cheap isomorphism invariants: the generator traces and the three
     central scalars."""
 
@@ -423,8 +420,7 @@ def orbit_canonical(a: RatLike, b: RatLike, c: RatLike) -> tuple[Fraction, Fract
     return (abs(rat(a)), abs(rat(b)), abs(rat(c)))
 
 
-@dataclass(frozen=True)
-class ClassCoordinates:
+class ClassCoordinates(NamedTuple):
     """Isomorphism class coordinates: family, d, twist signs (even family
     only) and the parameter triple (canonical orbit representative for the
     even family, exact values for the odd one)."""

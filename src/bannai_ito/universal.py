@@ -22,8 +22,8 @@ into V, an explicit intertwiner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bimodule import BIModule, CertificateError, FamilyParams, SequenceTable, \
     certify_intertwiner, check_relations, derive_Z, relation_residuals
@@ -46,8 +46,7 @@ class AnnihilatorFails(Exception):
     """The degree-(d+1) annihilator premise of the ladder map fails."""
 
 
-@dataclass(frozen=True)
-class TruncatedVerma:
+class TruncatedVerma(NamedTuple):
     """An n-dimensional window of the Verma-type module M_delta(a, b, c)."""
 
     table: SequenceTable
@@ -73,8 +72,7 @@ def truncated_verma(delta: RatLike, a: RatLike, b: RatLike, c: RatLike,
     return TruncatedVerma(t, n, *t.ladder(n), *t.central_scalars())
 
 
-@dataclass(frozen=True)
-class VermaRelationReport:
+class VermaRelationReport(NamedTuple):
     """Column-by-column residuals of the two nontrivial presentation relations
     ({Y,Z} - X = lambda and {Z,X} - Y = mu, with Z derived)."""
 
@@ -149,8 +147,7 @@ def ladder_map(params: FamilyParams, v_mod: BIModule, v) -> Matrix:
         raise
 
 
-@dataclass(frozen=True)
-class QuotientReport:
+class QuotientReport(NamedTuple):
     """Result of comparing the window at a family point's table with its module."""
 
     superdiagonal_vanishes: bool  # phi_{d+1} = 0, decoupling head from tail

@@ -85,8 +85,10 @@ def test_params_validation():
         EvenParams(-1, 0, 0, 0)
     with pytest.raises(ValueError):
         OddParams(3, 0, 0, 0)
-    with pytest.raises(ValueError):
-        TwistSign(2, 1)
+    # a sign must be a plain int +-1: not a bool or a float that equals one
+    for signs in ((2, 1), (True, 1), (1, True), (1.0, -1), (1, F(-1))):
+        with pytest.raises(ValueError, match="^twist signs must be \\+1 or -1$"):
+            TwistSign(*signs)
     assert OddParams(0, 1, 2, 3).module().dim == 1
     # d must be a plain int: not a bool, a Fraction or a float
     for d in (True, F(3), 3.0):

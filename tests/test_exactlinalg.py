@@ -773,6 +773,7 @@ def test_rank_mod_p_fixed():
     assert rank_mod_p([(1, 0, 0, 0)], [X4, Y4]) == rank_mod_p(X4.rows) == 4
     assert rank_mod_p([(0, 0, 0, 1)], [X4]) == 1  # the lowest ladder line is X-invariant
     assert rank_mod_p(Matrix([[1, 2], [2, 4]]).rows) == 1
+    assert rank_mod_p([]) == rank_mod_p([], [X4]) == 0  # the empty span
     with mock.patch.object(exactlinalg, "_PRIME", 3):
         assert rank_mod_p([(1, 0)], [Matrix([[0, 0], [3, 0]])]) == 1  # an undercount mod 3
         assert rank_mod_p([(1, 0)], [Matrix([[0, 0], [F(1, 3), 0]])]) == 2  # a scale of 3 is harmless

@@ -1,5 +1,5 @@
-"""Repository hygiene: the runtime imports only the standard library, no
-layer imports another's private names or reads another's private
+"""Repository hygiene: the runtime imports only the standard library,
+importing the CLI loads neither `dataclasses` nor `inspect`, no layer imports another's private names or reads another's private
 attributes, no library guarantee rests on an `assert` (stripped under
 `python -O`), no file that .gitignore excludes is tracked, every library
 name the benchmark traces still resolves, the benchmark's library
@@ -10,6 +10,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import shutil
 import subprocess
 import sys
@@ -39,6 +40,19 @@ def test_runtime_imports_are_stdlib_or_relative():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # every bimod process pays this import; dataclasses would add inspect,
+    # ast, dis and tokenize to it, and its decorator runs once per record
+    script = ("import sys; before = set(sys.modules); import bannai_ito.cli; "
+              "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    loaded = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "bannai_ito.cli" in loaded
+    assert [name for name in ("dataclasses", "inspect") if name in loaded] == []
 
 
 def test_private_attributes_stay_with_their_module():
