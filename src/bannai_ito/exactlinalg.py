@@ -458,7 +458,7 @@ def rank_mod_p(vectors: Sequence[Sequence[RatLike]], operators: Sequence[Matrix]
     each reduced row is the residue of an integer vector of the spin, so k
     rows independent mod p give a nonzero integer minor, whatever the prime.
     """
-    n, p = operators[0].ncols if operators else 0, _PRIME  # n bounds the spin: none to run
+    n, p = operators[0].ncols if operators else 0, _PRIME  # n stops the spin; no operators, no spin
     int_ops, basis = [op._int_rows()[1] for op in operators], []
 
     def add(u: list[int]) -> list[int] | None:
